@@ -15,7 +15,6 @@ from .curve import (
     ell_invariant,
     invariant_divisor,
     make_curve,
-    monomial_valuation,
     principal_divisor,
     restrict,
     splitting_type,

@@ -22,11 +22,21 @@ from .ffield import make_field
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _tuple_arg(c: KummerCurve, text: str) -> InvariantTuple:
+    vals = _int_list(text)
+    if len(vals) != c.r + 1:
+        raise UsageError(f"--tuple needs {c.r + 1} entries (n0 first)")
+    return InvariantTuple(vals[0], tuple(vals[1:]))
 
 
 def _add_curve_args(sp):
-    sp.add_argument("--catalog", help="catalog id (ex37, f49, dickson_half_m8)")
+    sp.add_argument("--catalog", help="catalog id (ex37, f49, f169, dickson_half_m8)")
     sp.add_argument("--spec", help="path to a curve spec JSON file")
     sp.add_argument("--m", type=int, help="extension degree")
     sp.add_argument("--lambdas", help="comma-separated branch multiplicities")
@@ -39,14 +49,19 @@ def _load_curve(args) -> KummerCurve:
     if args.catalog:
         return instances.catalog(args.catalog)["curve"]
     if args.spec:
-        with open(args.spec, encoding="utf-8") as fh:
-            return KummerCurve.from_json(json.load(fh))
+        try:
+            with open(args.spec, encoding="utf-8") as fh:
+                return KummerCurve.from_json(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise UsageError(f"bad --spec {args.spec}: {exc!r}") from None
     if args.m is None or args.lambdas is None:
         raise UsageError("need --catalog, --spec, or --m with --lambdas")
     lambdas = _int_list(args.lambdas)
     if args.field:
-        p, k = _int_list(args.field)
-        F = make_field(p, k)
+        pk = _int_list(args.field)
+        if len(pk) != 2:
+            raise UsageError(f"--field needs p,k, got {args.field!r}")
+        F = make_field(*pk)
         if not args.alphas:
             raise UsageError("--field requires --alphas")
         alphas = _int_list(args.alphas)
@@ -109,14 +124,11 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_check(args) -> int:
     c = _load_curve(args)
-    vals = _int_list(args.tuple)
-    if len(vals) != c.r + 1:
-        raise UsageError(f"--tuple needs {c.r + 1} entries (n0 first)")
-    tup = InvariantTuple(vals[0], tuple(vals[1:]))
+    tup = _tuple_arg(c, args.tuple)
     report = nonspecial.criterion_check(c, tup, mode=args.mode)
 
     def text():
-        print(f"tuple {vals}: {report.verdict} "
+        print(f"tuple {[tup.n0, *tup.n]}: {report.verdict} "
               f"(degree {report.degree}, genus {report.genus}, "
               f"bounds_ok {report.bounds_ok})")
         for j, b, cnt, ok in report.rows:
@@ -137,8 +149,7 @@ def _cmd_lcp(args) -> int:
         if not args.tuple or not args.phi:
             raise UsageError("general build needs --tuple and --phi "
                              "(or use --regime)")
-        vals = _int_list(args.tuple)
-        tup = InvariantTuple(vals[0], tuple(vals[1:]))
+        tup = _tuple_arg(c, args.tuple)
         if split_values is None:
             split_values = curve_mod.completely_split_values(c)
         pair = codes.lcp_build_general(c, tup, _int_list(args.phi),
@@ -213,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     lcp_sub = p_lcp.add_subparsers(dest="subcommand", required=True)
     p_build = lcp_sub.add_parser("build")
     _add_curve_args(p_build)
-    p_build.add_argument("--regime", choices=["half_single", "half_double_N1",
-                                              "half_double_N2", "lambda_two"])
+    p_build.add_argument("--regime", choices=list(codes.REGIMES))
     p_build.add_argument("--tuple", help="comma-separated n0,n1,...,nr")
     p_build.add_argument("--phi", help="comma-separated branch indices")
     p_build.add_argument("--split", help="comma-separated split x-values")

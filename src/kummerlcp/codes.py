@@ -16,7 +16,6 @@ non-special divisor of degree g, and exhaustive minimum-distance checks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -26,20 +25,23 @@ from .curve import (
     InvariantTuple,
     KummerCurve,
     Place,
+    completely_split_values,
     invariant_divisor,
     principal_divisor,
     splitting_type,
-    val_y,
     x_pole_divisor,
 )
 from .errors import (
+    AbstractField,
     BezoutFailure,
     DegreeOutOfRange,
     DimensionMismatch,
+    FormulaMismatch,
     LengthMismatch,
     NotNonSpecial,
     PoleAtEvaluationPlace,
     RampPreconditionViolated,
+    RegimeViolation,
     SRangeEmpty,
     SupportOverlap,
     TooLargeToEnumerate,
@@ -85,27 +87,27 @@ class SpaceElement:
 
 
 def basis_valuation(curve: KummerCurve, bf: BasisFunction, place: Place) -> int:
-    """Exact valuation of a single basis function at a place class."""
+    """Exact valuation of x^xpow * prod (x - alpha)^(-r) * y^t at a place class.
+
+    Closed-form Kummer ramification data: at the places above infinity
+    v(x - alpha) = -e_inf and v(y) = -Lambda/d_inf; above alpha_i
+    v(x - alpha_i) = e_i and v(y) = lambda_i/d_i; at a split place (a, y)
+    v(x - a) = 1 and v(y) = 0.  Every other linear factor is a unit.
+    """
+    if curve.is_abstract:
+        raise AbstractField("valuations need concrete branch points")
+    curve.validate_place(place)
+    ram = curve.ram
     if place.kind == "infinity":
-        v = -curve.ram.e_inf * bf.x_degree()
-    elif place.kind == "branch":
-        alpha = curve.alphas[place.i]
-        v = curve.ram.e[place.i] * (1 if alpha == 0 else 0) * bf.xpow
-        for a, r in bf.factors:
-            if a == alpha:
-                v -= curve.ram.e[place.i] * r
+        return -ram.e_inf * bf.x_degree() - bf.t * (ram.lam_sum // ram.d_inf)
+    if place.kind == "branch":
+        center, e, v_y = (curve.alphas[place.i], ram.e[place.i],
+                          curve.lambdas[place.i] // ram.d[place.i])
     else:
-        v = bf.xpow * (1 if place.a == 0 else 0)
-        for a, r in bf.factors:
-            if a == place.a:
-                v -= r
-    return v + bf.t * val_y(curve, place)
-
-
-def element_min_valuation(curve: KummerCurve, elem: SpaceElement,
-                          place: Place) -> int:
-    """Lower bound on the valuation of a combination: min over its terms."""
-    return min(basis_valuation(curve, bf, place) for _, bf in elem.terms)
+        center, e, v_y = place.a, 1, 0
+    v = e * bf.xpow if center == 0 else 0
+    v -= e * sum(r for a, r in bf.factors if a == center)
+    return v + bf.t * v_y
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +192,9 @@ def infinity_functional(curve: KummerCurve, c_inf: int,
         if v > -c_inf:
             continue
         num = (bf.t + b1) * ram.d_inf
-        assert num % curve.m == 0, "zero-valuation monomial exponent mismatch"
+        if num % curve.m:
+            raise BezoutFailure(
+                f"zero-valuation monomial exponent {num}/{curve.m} is not integral")
         kappa = num // curve.m
         total = F.add(total, F.mul(coeff, F.pow(omega, kappa)))
     return total
@@ -422,12 +426,12 @@ class LCPPair:
 def s_interval(curve: KummerCurve, n: int, n_phi: int):
     """Open interval of admissible s values for the pair construction."""
     g = curve.genus
-    lo = (g - 1) / (curve.m * n_phi)
-    hi = (n - g + 1) / (curve.m * n_phi)
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
+    den = curve.m * n_phi
+    first = (g - 1) // den + 1        # floor((g - 1) / den) + 1
+    last = -((g - 1 - n) // den) - 1  # ceil((n - g + 1) / den) - 1
     if first > last:
-        raise SRangeEmpty(f"no integer strictly between {lo} and {hi}")
+        raise SRangeEmpty(
+            f"no integer strictly between {g - 1}/{den} and {n - g + 1}/{den}")
     return first, last
 
 
@@ -445,6 +449,9 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
         raise NotNonSpecial(f"tuple {A} is not non-special of degree g")
     if A.n0 != 0:
         raise NotNonSpecial("the construction requires coefficient 0 at infinity")
+    if not phi_indices or not all(0 <= i < curve.r for i in phi_indices):
+        raise RampPreconditionViolated(
+            f"Phi {phi_indices} must be a nonempty set of indices in [0, {curve.r})")
     for i in phi_indices:
         if curve.ram.d[i] != 1:
             raise RampPreconditionViolated(
@@ -485,18 +492,16 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
     return LCPPair(code_G, code_H, s, A, verified, gcd_ok, lmd_ok)
 
 
-_REGIME_FAMILIES = {
-    "half_single": lambda m, r, k: coeffs_half_single(m, r, 0),
-    "half_double_N1": lambda m, r, k: coeffs_half_double(m, r, 1),
-    "half_double_N2": lambda m, r, k: coeffs_half_double(m, r, 2),
-    "lambda_two": lambda m, r, k: coeffs_lambda_two(m, r, 0, k),
-}
-
-_REGIME_PATTERNS = {
-    "half_single": lambda m, r: [1] * (r - 1) + [m // 2],
-    "half_double_N1": lambda m, r: [1] * (r - 2) + [m // 2, m // 2],
-    "half_double_N2": lambda m, r: [1] * (r - 2) + [m // 2, m // 2],
-    "lambda_two": lambda m, r: [1] * (r - 1) + [2],
+#: regime name -> (lambda pattern of (m, r), coefficient family of (m, r, k))
+REGIMES = {
+    "half_single": (lambda m, r: [1] * (r - 1) + [m // 2],
+                    lambda m, r, k: coeffs_half_single(m, r, 0)),
+    "half_double_N1": (lambda m, r: [1] * (r - 2) + [m // 2, m // 2],
+                       lambda m, r, k: coeffs_half_double(m, r, 1)),
+    "half_double_N2": (lambda m, r: [1] * (r - 2) + [m // 2, m // 2],
+                       lambda m, r, k: coeffs_half_double(m, r, 2)),
+    "lambda_two": (lambda m, r: [1] * (r - 1) + [2],
+                   lambda m, r, k: coeffs_lambda_two(m, r, 0, k)),
 }
 
 
@@ -508,16 +513,14 @@ def lcp_build_regime(curve: KummerCurve, regime: str, split_values=None,
     takes Phi over all totally ramified lambda=1 branch points, and runs the
     general construction; the specialized degree formulas are re-checked.
     """
-    from .curve import completely_split_values
-    from .errors import FormulaMismatch, RegimeViolation
-
-    if regime not in _REGIME_FAMILIES:
+    if regime not in REGIMES:
         raise RegimeViolation(f"unknown regime {regime!r}")
+    pattern, family = REGIMES[regime]
     m, r = curve.m, curve.r
-    if sorted(curve.lambdas) != sorted(_REGIME_PATTERNS[regime](m, r)):
+    if sorted(curve.lambdas) != sorted(pattern(m, r)):
         raise RegimeViolation(
             f"lambda pattern {curve.lambdas} does not match regime {regime!r}")
-    tup = _REGIME_FAMILIES[regime](m, r, k)
+    tup = family(m, r, k)
     # the family orders coefficients ones-first; map them onto curve indices
     ones_idx = [i for i, lam in enumerate(curve.lambdas) if lam == 1]
     special_idx = [i for i, lam in enumerate(curve.lambdas) if lam != 1]

@@ -1,8 +1,8 @@
 """Kummer extensions y^m = a * prod (x - alpha_i)^lambda_i over GF(q).
 
 Provides ramification data and genus, symbolic place classes, divisors,
-valuations of monomial functions, the restriction map to the rational
-subfield, the combinatorial Riemann-Roch dimension for invariant divisors,
+principal divisors, the restriction map to the rational subfield, the
+combinatorial Riemann-Roch dimension for invariant divisors,
 splitting types and the rational-place census.
 
 Curves come in two flavors:
@@ -23,7 +23,7 @@ Q_infinity is Infinity(0), the one whose root label has smallest encoding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,11 @@ from .errors import (
     AbstractField,
     CharDividesM,
     DuplicateBranch,
+    FormulaMismatch,
     GcdViolation,
     InvalidPlace,
     NegativeCoefficient,
+    NotAnElement,
     RationalityError,
     UnsupportedRoot,
 )
@@ -114,6 +116,9 @@ class KummerCurve:
             if field.p != 0 and self.m % field.p == 0:
                 raise CharDividesM(f"char {field.p} divides m={self.m}")
             a_enc = a.enc if isinstance(a, FieldElement) else int(a)
+            outside = [v for v in alphas + [a_enc] if not 0 <= v < field.q]
+            if outside:
+                raise NotAnElement(f"encodings {outside} lie outside [0, {field.q})")
             if a_enc == 0:
                 raise GcdViolation("leading coefficient a must be nonzero")
         if not lambdas:
@@ -133,7 +138,8 @@ class KummerCurve:
         d_inf = math.gcd(self.m, lam_sum)
         e_inf = self.m // d_inf
         num = (self.m - 1) * (self.r - 1) - sum(di - 1 for di in d) - (d_inf - 1)
-        assert num % 2 == 0, "genus formula must divide exactly"
+        if num % 2:
+            raise FormulaMismatch(f"genus numerator {num} is odd")
         self.ram = RamificationData(d, e, lam_sum, d_inf, e_inf, num // 2)
         self._labels = {}
 
@@ -375,51 +381,6 @@ def invariant_divisor(curve: KummerCurve, tup: InvariantTuple) -> Divisor:
 
 
 # ---------------------------------------------------------------------------
-# Valuations
-# ---------------------------------------------------------------------------
-
-def val_linear(curve: KummerCurve, place: Place, alpha_enc: int) -> int:
-    """v_P(x - alpha) at a place class."""
-    curve.validate_place(place)
-    if place.kind == "infinity":
-        return -curve.ram.e_inf
-    if place.kind == "branch":
-        return curve.ram.e[place.i] if curve.alphas and curve.alphas[place.i] == alpha_enc else 0
-    return 1 if place.a == alpha_enc else 0
-
-
-def val_branch_linear(curve: KummerCurve, place: Place, i: int) -> int:
-    """v_P(x - alpha_i) by branch index; works on abstract curves too."""
-    curve.validate_place(place)
-    if place.kind == "infinity":
-        return -curve.ram.e_inf
-    if place.kind == "branch":
-        return curve.ram.e[i] if place.i == i else 0
-    return 0  # split place over a non-branch point
-
-
-def val_y(curve: KummerCurve, place: Place) -> int:
-    """v_P(y)."""
-    curve.validate_place(place)
-    if place.kind == "infinity":
-        return -curve.ram.lam_sum // curve.ram.d_inf
-    if place.kind == "branch":
-        return curve.lambdas[place.i] // curve.ram.d[place.i]
-    return 0
-
-
-def monomial_valuation(curve: KummerCurve, place: Place, e_x: int, e_y: int) -> int:
-    """v_P(x^{e_x} * y^{e_y}), extended additively per factor."""
-    if curve.is_abstract and e_x != 0 and place.kind == "branch":
-        raise AbstractField("v(x) at a branch place needs concrete branch points")
-    v = e_y * val_y(curve, place)
-    if e_x:
-        v += e_x * val_linear(curve, place, 0) if not curve.is_abstract else (
-            e_x * -curve.ram.e_inf if place.kind == "infinity" else 0)
-    return v
-
-
-# ---------------------------------------------------------------------------
 # Standard divisors and principal divisors
 # ---------------------------------------------------------------------------
 
@@ -603,16 +564,17 @@ def splitting_type(curve: KummerCurve, a) -> SplittingInfo:
 
 
 def completely_split_values(curve: KummerCurve) -> list[int]:
-    """All a in GF(q) over which the curve splits completely, sorted."""
+    """All a in GF(q) over which the curve splits completely, sorted.
+
+    One Euler test f(a)^((q-1)/m) == 1 over the whole field; f vanishes at
+    the branch points, so they fail it.
+    """
     F = curve._require_kummer_rational()
-    power = (F.q - 1) // curve.m
-    out = []
-    for a in range(F.q):
-        if a in curve.alphas:
-            continue
-        if F.pow(curve.f_eval(a), power) == 1:
-            out.append(a)
-    return out
+    x = np.arange(F.q, dtype=np.int64)
+    fx = np.full(F.q, curve.a_enc, dtype=np.int64)
+    for alpha, lam in zip(curve.alphas, curve.lambdas):
+        fx = F.mul_arr(fx, F.pow_arr(F.sub_arr(x, alpha), lam))
+    return np.flatnonzero(F.pow_arr(fx, (F.q - 1) // curve.m) == 1).tolist()
 
 
 @dataclass
@@ -625,16 +587,8 @@ class CensusResult:
 def census(curve: KummerCurve) -> CensusResult:
     """Count the rational places of the curve over its field."""
     F = curve._require_kummer_rational()
-    total = 0
-    split_count = 0
-    power = (F.q - 1) // curve.m
-    for a in range(F.q):
-        if a in curve.alphas:
-            continue
-        fa = curve.f_eval(a)
-        if F.pow(fa, power) == 1:
-            total += curve.m
-            split_count += 1
+    split_count = len(completely_split_values(curve))
+    total = curve.m * split_count
     for i in range(curve.r):
         total += len(curve.conjugate_labels("branch", i))
     total += len(curve.conjugate_labels("infinity"))

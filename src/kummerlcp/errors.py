@@ -21,7 +21,7 @@ class DegreeZero(KummerError):
 
 
 class FieldTooLarge(KummerError):
-    """Field order exceeds the configured cap."""
+    """Field order exceeds the cap q <= 2^16."""
 
 
 class ZeroPolynomial(KummerError):
@@ -40,6 +40,10 @@ class GcdViolation(KummerError):
 
 class CharDividesM(KummerError):
     """The field characteristic must not divide the extension degree."""
+
+
+class NotAnElement(KummerError):
+    """An integer encoding lies outside [0, q) of the curve's field."""
 
 
 class InvalidPlace(KummerError):
@@ -85,7 +89,7 @@ class NkNotPositive(KummerError):
 
 
 class FormulaMismatch(KummerError):
-    """A closed-form coefficient family failed its own verification."""
+    """A closed-form formula disagreed with its independent verification."""
 
 
 # --- codes -----------------------------------------------------------------

@@ -5,10 +5,11 @@ vector (c_0, ..., c_{k-1}) over GF(p) encodes as enc = sum c_i * p^i, a
 bijection onto {0, ..., q-1}.  All field operations work on these integer
 encodings; :class:`FieldElement` is a thin operator-overloading wrapper.
 
-For fields of order up to 2^16 a discrete-log table pair is precomputed,
-which makes scalar multiplication O(1) and enables vectorized numpy
-operations on whole arrays of encodings (used heavily by the linear
-algebra in the codes module).
+Field orders are capped at q <= 2^16 (:data:`MAX_ORDER`); a larger order
+raises :class:`~kummerlcp.errors.FieldTooLarge`.  Every field carries a
+discrete-log table pair, which makes scalar multiplication O(1) and enables
+vectorized numpy operations on whole arrays of encodings (used heavily by
+the linear algebra in the codes module).
 """
 
 from __future__ import annotations
@@ -19,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeZero, FieldTooLarge, NotPrime, ZeroPolynomial
+from .errors import (
+    DegreeZero,
+    FieldTooLarge,
+    FormulaMismatch,
+    NotPrime,
+    ZeroPolynomial,
+)
 
-DEFAULT_ORDER_CAP = 1 << 20
-_TABLE_CAP = 1 << 16
+#: largest supported field order; every field up to it carries log/exp tables
+MAX_ORDER = 1 << 16
 
 #: degree of the zero polynomial
 NEG_INF = float("-inf")
@@ -128,23 +135,20 @@ class FieldSpec:
     across workers.  Use :func:`make_field` rather than the constructor.
     """
 
-    def __init__(self, p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, p: int, k: int):
         if k < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {k}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p ** k
-        if q > order_cap:
-            raise FieldTooLarge(f"field order {q} exceeds cap {order_cap}")
+        if q > MAX_ORDER:
+            raise FieldTooLarge(f"field order {q} exceeds cap {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
         self.modulus = _canonical_modulus(p, k)
         self._pows = tuple(p ** i for i in range(k + 1))
-        self._exp = None
-        self._log = None
-        if q <= _TABLE_CAP:
-            self._build_tables()
+        self._build_tables()
 
     # -- encoding helpers --
 
@@ -195,32 +199,19 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._log is not None:
-            return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
-        return self._mul_poly(a, b)
+        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._log is not None:
-            return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
-        return self.pow(a, self.q - 2)
+        return int(self._exp[(-int(self._log[a])) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 1 if e == 0 else 0
-        if self._log is not None:
-            return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-        e %= self.q - 1
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._mul_poly(result, base) if result != 1 else base
-            base = self._mul_poly(base, base)
-            e >>= 1
-        return result
+        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
     def element_order(self, a: int) -> int:
         if a == 0:
@@ -233,18 +224,20 @@ class FieldSpec:
 
     def _build_tables(self):
         q = self.q
-        gen = None
-        for cand in range(2, q):
-            ok = True
-            for f in prime_factors(q - 1):
-                if self.pow(cand, (q - 1) // f) == 1:
-                    ok = False
-                    break
-            if ok:
-                gen = cand
-                break
-        if gen is None:  # q == 2
-            gen = 1
+
+        def power(a, e):  # square-and-multiply, before the tables exist
+            result = 1
+            while e:
+                if e & 1:
+                    result = self._mul_poly(result, a)
+                a = self._mul_poly(a, a)
+                e >>= 1
+            return result
+
+        factors = prime_factors(q - 1)
+        gen = next((cand for cand in range(2, q)
+                    if all(power(cand, (q - 1) // f) != 1 for f in factors)),
+                   1)  # q == 2: the group is trivial
         exp = np.zeros(max(q - 1, 1), dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         acc = 1
@@ -257,11 +250,6 @@ class FieldSpec:
         self._log = log
 
     # -- vectorized ops on numpy arrays of encodings --
-
-    def _require_tables(self):
-        if self._log is None:
-            raise FieldTooLarge(
-                f"vectorized operations need discrete-log tables (q <= {_TABLE_CAP})")
 
     def add_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -290,7 +278,6 @@ class FieldSpec:
         return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
 
     def mul_arr(self, a, b):
-        self._require_tables()
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         a, b = np.broadcast_arrays(a, b)
@@ -303,14 +290,12 @@ class FieldSpec:
         return out
 
     def inv_arr(self, a):
-        self._require_tables()
         a = np.asarray(a, dtype=np.int64)
         if (a == 0).any():
             raise ZeroDivisionError("inverse of zero field element")
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def pow_arr(self, a, e: int):
-        self._require_tables()
         a = np.asarray(a, dtype=np.int64)
         out = np.zeros(a.shape, dtype=np.int64)
         mask = a != 0
@@ -353,9 +338,9 @@ class FieldSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def make_field(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> FieldSpec:
+def make_field(p: int, k: int) -> FieldSpec:
     """Construct (and cache) GF(p^k) with the canonical modulus."""
-    return FieldSpec(p, k, order_cap)
+    return FieldSpec(p, k)
 
 
 @dataclass(frozen=True)
@@ -583,14 +568,6 @@ class Poly:
             return FieldElement(self.field, self.eval_enc(a.enc))
         return self.eval_enc(int(a))
 
-    def eval_arr(self, a):
-        F = self.field
-        a = np.asarray(a, dtype=np.int64)
-        acc = np.zeros(a.shape, dtype=np.int64)
-        for c in reversed(self.coeffs):
-            acc = F.add_arr(F.mul_arr(acc, a), np.int64(c))
-        return acc
-
     def __repr__(self):
         return f"Poly(GF({self.field.q}), {list(self.coeffs)})"
 
@@ -610,7 +587,9 @@ def nth_roots(c: FieldElement, n: int) -> list[FieldElement]:
     hits = [y for y in range(1, F.q) if F.pow(y, n) == c.enc]
     # power test: nonempty iff c^((q-1)/gcd(n, q-1)) == 1
     g = math.gcd(n, F.q - 1)
-    assert bool(hits) == (F.pow(c.enc, (F.q - 1) // g) == 1)
+    if bool(hits) != (F.pow(c.enc, (F.q - 1) // g) == 1):
+        raise FormulaMismatch(
+            f"root scan for y^{n} = {c} disagrees with Euler's criterion")
     return [FieldElement(F, y) for y in hits]
 
 

@@ -26,6 +26,7 @@ from .errors import (
     NoSolution,
     RegimeViolation,
     SearchSpaceTooLarge,
+    UsageError,
 )
 
 DEFAULT_SEARCH_CAP = 10**8
@@ -187,7 +188,12 @@ def bulk_verdicts(curve: KummerCurve, n0: int, limit: int = _BULK_CELL_LIMIT):
 def search_cap() -> int:
     """Enumeration cap; the KDL_MAX_SEARCH environment variable overrides it."""
     raw = os.environ.get("KDL_MAX_SEARCH")
-    return int(raw) if raw else DEFAULT_SEARCH_CAP
+    if not raw:
+        return DEFAULT_SEARCH_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"KDL_MAX_SEARCH must be an integer, got {raw!r}") from None
 
 
 def _canonical(curve: KummerCurve, tup: InvariantTuple) -> InvariantTuple:

@@ -86,10 +86,29 @@ def test_check_tuple_length_usage_error(capsys):
                        "--tuple", "0,0")
     assert code == 2
     assert "usage error" in err
+    code, _, err = run(capsys, "lcp", "build", "--catalog", "f169",
+                       "--tuple", "0,0", "--phi", "0")
+    assert code == 2
+    assert "usage error" in err
 
 
-def test_missing_curve_usage_error(capsys):
-    code, _, err = run(capsys, "nonspecial", "enumerate")
+def test_missing_curve_usage_error(capsys, tmp_path, monkeypatch):
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({"m": 4}))
+    bad_argvs = [
+        ["nonspecial", "enumerate"],
+        ["curve", "info", "--m", "6", "--lambdas", "1,x"],
+        ["curve", "info", "--m", "2", "--lambdas", "1,1", "--field", "7",
+         "--alphas", "0,1"],
+        ["curve", "info", "--spec", str(tmp_path / "missing.json")],
+        ["curve", "info", "--spec", str(partial)],
+    ]
+    for argv in bad_argvs:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "usage error" in err
+    monkeypatch.setenv("KDL_MAX_SEARCH", "abc")
+    code, _, err = run(capsys, "nonspecial", "enumerate", "--catalog", "ex37")
     assert code == 2
     assert "usage error" in err
 
@@ -98,6 +117,17 @@ def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "curve", "info", "--m", "6", "--lambdas", "2,4")
     assert code == 1
     assert "GcdViolation" in err
+    for phi in ("9", ","):   # out of range; empty
+        code, _, err = run(capsys, "lcp", "build", "--catalog", "f169",
+                           "--tuple", "0,0,2,3,6,1", "--phi", phi)
+        assert code == 1, phi
+        assert "RampPreconditionViolated" in err
+    # encodings outside GF(7): the leading coefficient, then a branch point
+    inline = ["census", "--field", "7,1", "--m", "2", "--lambdas", "1,1"]
+    for extra in (["--alphas", "0,1", "--a", "99"], ["--alphas", "0,99"]):
+        code, _, err = run(capsys, *inline, *extra)
+        assert code == 1, extra
+        assert "NotAnElement" in err
 
 
 def test_census_command(capsys):

@@ -23,7 +23,6 @@ from kummerlcp.codes import (
     SpaceElement,
     basis_valuation,
     divisor_shape,
-    element_min_valuation,
     s_interval,
     split_place_list,
 )
@@ -154,13 +153,15 @@ def test_infinity_functional_linearity(f169):
     assert len(kernel) == len(basis) - 1
 
 
-def test_element_min_valuation(f169):
+def test_basis_valuation_lower_bound(f169):
+    # every term of every basis element of L(A) has valuation >= -A
     tup = InvariantTuple(4, (1, 0, 0, 0, 0))
     basis = rr_basis(f169, (tup, 0))
     inv = invariant_divisor(f169, tup)
     for e in basis:
         for p in f169.infinity_places() + f169.branch_places(0):
-            assert element_min_valuation(f169, e, p) >= -inv.coeff(p)
+            assert min(basis_valuation(f169, bf, p) for _, bf in e.terms) \
+                >= -inv.coeff(p)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +276,10 @@ def test_lcp_general_guards(f169, toy9):
         # passes the criterion but has nonzero coefficient at infinity
         lcp_build_general(f169, InvariantTuple(1, (0, 2, 3, 5, 1)),
                           [0, 1, 2, 3], split)
-    with pytest.raises(RampPreconditionViolated):
-        lcp_build_general(f169, InvariantTuple(0, (0, 2, 3, 6, 1)),
-                          [0, 4], split)
+    for phi in ([0, 4], [9], []):   # lambda_4 = 2; out of range; empty
+        with pytest.raises(RampPreconditionViolated):
+            lcp_build_general(f169, InvariantTuple(0, (0, 2, 3, 6, 1)),
+                              phi, split)
     A = coeffs_all_ones(2, 5)
     with pytest.raises(SRangeEmpty):
         lcp_build_general(toy9, A, [0], completely_split_values(toy9), s=7)

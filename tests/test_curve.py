@@ -14,7 +14,6 @@ from kummerlcp import (
     invariant_divisor,
     make_curve,
     make_field,
-    monomial_valuation,
     principal_divisor,
     restrict,
     splitting_type,
@@ -25,12 +24,10 @@ from kummerlcp.curve import (
     rational_degree,
     rational_ell,
     split_zero_divisor,
-    val_branch_linear,
-    val_linear,
-    val_y,
     x_pole_divisor,
     y_divisor,
 )
+from kummerlcp.codes import BasisFunction, basis_valuation
 from kummerlcp.errors import (
     AbstractField,
     CharDividesM,
@@ -38,10 +35,12 @@ from kummerlcp.errors import (
     GcdViolation,
     InvalidPlace,
     NegativeCoefficient,
+    NotAnElement,
     RationalityError,
     UnsupportedRoot,
 )
 from kummerlcp.ffield import Poly
+from kummerlcp.instances import dickson_curve_single
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +92,13 @@ def test_construction_errors(gf49):
         make_curve(None, 1, [1])
     with pytest.raises(GcdViolation):
         make_curve(gf49, 4, [(0, 1)], a=0)
+    # encodings must name elements of GF(49)
+    with pytest.raises(NotAnElement):
+        make_curve(gf49, 4, [(0, 1), (1, 1)], a=99)
+    with pytest.raises(NotAnElement):
+        make_curve(gf49, 4, [(0, 1), (49, 1)])
+    with pytest.raises(NotAnElement):
+        make_curve(gf49, 4, [(-1, 1), (1, 1)])
 
 
 def test_place_lists_and_validation(ex37_curve, f49):
@@ -185,28 +191,47 @@ def test_y_divisor_is_principal(f49, ex37_curve):
 # Valuations and principal divisors
 # ---------------------------------------------------------------------------
 
+def _linear(b):
+    """x - b as a basis function: the factor (x - b)^(-r) with r = -1."""
+    return BasisFunction(0, 0, ((b, -1),))
+
+
+Y = BasisFunction(1, 0, ())
+
+
 def test_valuations(ex37_curve, f49):
+    # abstract curve: the divisor builders carry v(y) and v(x - alpha_i)
     c = ex37_curve
     q = c.q_infinity()
-    assert val_y(c, q) == -11                       # -Lambda / d_inf
-    assert val_branch_linear(c, q, 0) == -6         # -e_inf
     p3 = c.branch_places(3)[0]
-    assert val_branch_linear(c, p3, 3) == 2         # e_4 = 2
-    assert val_branch_linear(c, p3, 0) == 0
-    assert val_y(c, p3) == 1                        # lambda_4 / d_4
+    div_x0 = branch_zero_divisor(c, 0) - x_pole_divisor(c)   # div(x - alpha_1)
+    div_x3 = branch_zero_divisor(c, 3) - x_pole_divisor(c)   # div(x - alpha_4)
+    assert y_divisor(c).coeff(q) == -11             # -Lambda / d_inf
+    assert div_x0.coeff(q) == -6                    # -e_inf
+    assert div_x3.coeff(p3) == 2                    # e_4 = 2
+    assert div_x0.coeff(p3) == 0
+    assert y_divisor(c).coeff(p3) == 1              # lambda_4 / d_4
     # concrete curve: split places and x-valuations by value
     a = completely_split_values(f49)[0]
     sp = splitting_type(f49, a).places[0]
-    assert val_linear(f49, sp, a) == 1
-    assert val_linear(f49, sp, (a + 1) % 7 if a < 7 else 0) in (0, 1)
-    assert val_y(f49, sp) == 0
-    assert monomial_valuation(f49, f49.q_infinity(), 1, 1) == \
+    assert basis_valuation(f49, _linear(a), sp) == 1
+    assert basis_valuation(f49, _linear((a + 1) % 7 if a < 7 else 0), sp) in (0, 1)
+    assert basis_valuation(f49, Y, sp) == 0
+    assert basis_valuation(f49, BasisFunction(1, 1, ()), f49.q_infinity()) == \
         -f49.ram.e_inf - f49.ram.lam_sum // f49.ram.d_inf
+    # at branch and infinite places basis_valuation agrees with the divisors
+    for p in f49.infinity_places() + [b for i in range(f49.r)
+                                      for b in f49.branch_places(i)]:
+        assert basis_valuation(f49, Y, p) == y_divisor(f49).coeff(p)
+        for i, alpha in enumerate(f49.alphas):
+            div = branch_zero_divisor(f49, i) - x_pole_divisor(f49)
+            assert basis_valuation(f49, _linear(alpha), p) == div.coeff(p)
 
 
-def test_monomial_valuation_abstract_guard(ex37_curve):
+def test_basis_valuation_abstract_guard(ex37_curve):
     with pytest.raises(AbstractField):
-        monomial_valuation(ex37_curve, ex37_curve.branch_places(0)[0], 1, 0)
+        basis_valuation(ex37_curve, BasisFunction(0, 1, ()),
+                        ex37_curve.branch_places(0)[0])
 
 
 def test_principal_divisors_have_degree_zero(f49, toy9):
@@ -372,6 +397,27 @@ def test_census_brute_force_oracle(toy9, f49):
             expected += c.ram.d[i]
         expected += c.ram.d_inf
         assert census(c).n_rational == expected
+
+
+def _split_values_scalar(curve):
+    """Oracle: the scalar Euler-criterion loop over f_eval, one a at a time."""
+    F = curve.field
+    power = (F.q - 1) // curve.m
+    return [a for a in range(F.q)
+            if a not in curve.alphas and F.pow(curve.f_eval(a), power) == 1]
+
+
+def test_completely_split_values_scalar_oracle(toy9, f49, f169, dickson_m8):
+    # a generator is no m-th power, so the leading coefficient moves the split set
+    F = f49.field
+    non_monic = make_curve(F, f49.m, list(zip(f49.alphas, f49.lambdas)),
+                           a=F.generator)
+    for c in (toy9, f49, f169, dickson_m8, non_monic):
+        assert completely_split_values(c) == _split_values_scalar(c)
+    big = dickson_curve_single(8, 103)   # over GF(10609)
+    split = completely_split_values(big)
+    assert len(split) == 1557
+    assert split == _split_values_scalar(big)
 
 
 def test_census_hasse_weil_bound(toy9, f49, f169, dickson_m8):

@@ -24,6 +24,8 @@ def test_construction_errors():
         make_field(5, 0)
     with pytest.raises(FieldTooLarge):
         make_field(2, 40)
+    with pytest.raises(FieldTooLarge):
+        make_field(257, 2)   # q = 66049 > 2^16
 
 
 def test_canonical_modulus_deterministic():
