@@ -2,7 +2,7 @@
 of evaluation codes over finite fields."""
 
 from .errors import KummerError
-from .ffield import FieldElement, FieldSpec, Poly, make_field, nth_roots, poly_analyze
+from .ffield import FieldSpec, Poly, make_field, nth_roots, poly_analyze
 from .curve import (
     CensusResult,
     Divisor,

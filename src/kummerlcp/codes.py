@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from .ffield import FieldSpec, Poly
+from .ffield import FieldSpec
 from .nonspecial import (
     coeffs_half_double,
     coeffs_half_single,
@@ -479,14 +479,11 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
 
     # divisor identities of the construction
     gcd_ok = G.gcd_min(H) == base
-    F = curve.field
-    phi_poly = Poly.one(F)
-    for i in phi_indices:
-        phi_poly = phi_poly * Poly.linear(F, curve.alphas[i])
-    h_poly = Poly.from_roots(F, sorted(set(int(v) for v in split_values)))
+    # phi = prod_{i in Phi} (x - alpha_i), h = prod over the split values (x - a)
     D_div = Divisor({p: 1 for p in places})
     lhs = G.lmd_max(H) - D_div - base
-    rhs = s * principal_divisor(curve, phi_poly) - principal_divisor(curve, h_poly)
+    rhs = (s * principal_divisor(curve, {curve.alphas[i]: 1 for i in phi_indices})
+           - principal_divisor(curve, {int(a): 1 for a in split_values}))
     lmd_ok = lhs == rhs and rhs.degree == 0
 
     return LCPPair(code_G, code_H, s, A, verified, gcd_ok, lmd_ok)

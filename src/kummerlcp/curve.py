@@ -34,12 +34,13 @@ from .errors import (
     FormulaMismatch,
     GcdViolation,
     InvalidPlace,
+    LengthMismatch,
     NegativeCoefficient,
     NotAnElement,
     RationalityError,
     UnsupportedRoot,
 )
-from .ffield import FieldElement, FieldSpec, Poly, make_field, nth_roots, poly_analyze
+from .ffield import FieldSpec, Poly, make_field, nth_roots
 
 _KIND_ORDER = {"branch": 0, "infinity": 1, "split": 2}
 
@@ -108,14 +109,13 @@ class KummerCurve:
             alphas = []
             lambdas = []
             for alpha, lam in branches:
-                enc = alpha.enc if isinstance(alpha, FieldElement) else int(alpha)
-                alphas.append(enc)
+                alphas.append(int(alpha))
                 lambdas.append(int(lam))
             if len(set(alphas)) != len(alphas):
                 raise DuplicateBranch(f"branch points not distinct: {alphas}")
             if field.p != 0 and self.m % field.p == 0:
                 raise CharDividesM(f"char {field.p} divides m={self.m}")
-            a_enc = a.enc if isinstance(a, FieldElement) else int(a)
+            a_enc = int(a)
             outside = [v for v in alphas + [a_enc] if not 0 <= v < field.q]
             if outside:
                 raise NotAnElement(f"encodings {outside} lie outside [0, {field.q})")
@@ -207,10 +207,9 @@ class KummerCurve:
         if key not in self._labels:
             F = self._require_field()
             if place_kind == "infinity":
-                roots = nth_roots(FieldElement(F, self.a_enc), self.ram.d_inf)
+                self._labels[key] = nth_roots(F, self.a_enc, self.ram.d_inf)
             else:
-                roots = nth_roots(FieldElement(F, self.branch_unit(i)), self.ram.d[i])
-            self._labels[key] = [r.enc for r in roots]
+                self._labels[key] = nth_roots(F, self.branch_unit(i), self.ram.d[i])
         return self._labels[key]
 
     def validate_place(self, place: Place):
@@ -354,7 +353,7 @@ class InvariantTuple:
 
     def degree(self, curve: KummerCurve) -> int:
         if len(self.n) != curve.r:
-            raise ValueError("tuple length does not match curve")
+            raise LengthMismatch("tuple length does not match curve")
         return self.n0 * curve.ram.d_inf + sum(
             ni * di for ni, di in zip(self.n, curve.ram.d))
 
@@ -415,30 +414,20 @@ def y_divisor(curve: KummerCurve) -> Divisor:
     return Divisor(table)
 
 
-def principal_divisor(curve: KummerCurve, num: Poly | None, den: Poly | None = None,
-                      t: int = 0) -> Divisor:
-    """Divisor of b(x) * y^t where b = num/den.
+def principal_divisor(curve: KummerCurve, roots, t: int = 0) -> Divisor:
+    """Divisor of prod (x - a)^mult * y^t for roots = {a: mult}.
 
-    Every root of num and den must be a branch point or a completely split
-    value; other roots have no rational place class to carry them.
+    A negative multiplicity is a pole.  Every a must be a branch point or a
+    completely split value; other x-values have no rational place class to
+    carry them.
     """
     out = t * y_divisor(curve)
-    for poly, sign in ((num, 1), (den, -1)):
-        if poly is None or poly.degree <= 0:
-            if poly is not None and poly.is_zero():
-                raise UnsupportedRoot("zero polynomial has no divisor")
-            continue
-        analysis = poly_analyze(poly)
-        total_mult = sum(mult for _, mult in analysis.roots)
-        if total_mult != poly.degree:
-            raise UnsupportedRoot("polynomial does not split over the base field")
-        for root, mult in analysis.roots:
-            if curve.alphas and root.enc in curve.alphas:
-                i = curve.alphas.index(root.enc)
-                d = branch_zero_divisor(curve, i)
-            else:
-                d = split_zero_divisor(curve, root.enc)
-            out = out + (sign * mult) * (d - x_pole_divisor(curve))
+    for a, mult in roots.items():
+        if curve.alphas and a in curve.alphas:
+            zero = branch_zero_divisor(curve, curve.alphas.index(a))
+        else:
+            zero = split_zero_divisor(curve, a)
+        out = out + mult * (zero - x_pole_divisor(curve))
     return out
 
 
@@ -502,7 +491,7 @@ def ell_invariant(curve: KummerCurve, A: InvariantTuple, shift_t: int | None = N
     With shift_t set, returns only the summand for that power of y.
     """
     if len(A.n) != curve.r:
-        raise ValueError("tuple length does not match curve")
+        raise LengthMismatch("tuple length does not match curve")
     if not allow_negative and not A.is_effective():
         raise NegativeCoefficient(f"tuple {A} is not effective")
     ts = range(curve.m) if shift_t is None else [shift_t]
@@ -551,14 +540,13 @@ class SplittingInfo:
 def splitting_type(curve: KummerCurve, a) -> SplittingInfo:
     """Decomposition of the place x = a in the extension."""
     F = curve._require_kummer_rational()
-    a_enc = a.enc if isinstance(a, FieldElement) else int(a)
+    a_enc = int(a)
     if curve.alphas and a_enc in curve.alphas:
         i = curve.alphas.index(a_enc)
         return SplittingInfo("branch", curve.branch_places(i))
     fa = curve.f_eval(a_enc)
     if F.pow(fa, (F.q - 1) // curve.m) == 1:
-        roots = nth_roots(FieldElement(F, fa), curve.m)
-        places = [Place("split", a=a_enc, y=r.enc) for r in roots]
+        places = [Place("split", a=a_enc, y=y) for y in nth_roots(F, fa, curve.m)]
         return SplittingInfo("split", places)
     return SplittingInfo("inert-or-partial", [])
 

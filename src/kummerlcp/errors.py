@@ -13,7 +13,7 @@ class KummerError(Exception):
 # --- finite fields ---------------------------------------------------------
 
 class NotPrime(KummerError):
-    """Characteristic is not a prime number."""
+    """A characteristic is not a prime, or a field order not a prime power."""
 
 
 class DegreeZero(KummerError):
@@ -81,7 +81,7 @@ class NoSolution(KummerError):
 
 
 class RegimeViolation(KummerError):
-    """Parameters do not match the requested lambda-pattern regime."""
+    """Parameters fall outside the requested regime, mode or family."""
 
 
 class NkNotPositive(KummerError):
@@ -131,7 +131,7 @@ class NotNonSpecial(KummerError):
 
 
 class LengthMismatch(KummerError):
-    """Codes must share the same length and field."""
+    """Lengths disagree: two codes (or their fields), or a tuple and a curve."""
 
 
 class TooLargeToEnumerate(KummerError):

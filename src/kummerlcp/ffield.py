@@ -2,8 +2,8 @@
 
 Elements are canonically encoded as integers: an element with coefficient
 vector (c_0, ..., c_{k-1}) over GF(p) encodes as enc = sum c_i * p^i, a
-bijection onto {0, ..., q-1}.  All field operations work on these integer
-encodings; :class:`FieldElement` is a thin operator-overloading wrapper.
+bijection onto {0, ..., q-1}.  These plain integers are the only field
+values: every operation takes and returns encodings.
 
 Field orders are capped at q <= 2^16 (:data:`MAX_ORDER`); a larger order
 raises :class:`~kummerlcp.errors.FieldTooLarge`.  Every field carries a
@@ -121,7 +121,7 @@ def _canonical_modulus(p, k):
     for cand in _gfp_monic_polys(p, k):
         if _gfp_is_irreducible(cand, p):
             return tuple(cand)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+    raise FormulaMismatch(f"no monic irreducible of degree {k} over GF({p})")
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +138,14 @@ class FieldSpec:
     def __init__(self, p: int, k: int):
         if k < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {k}")
+        # the cap first: it bounds p ** k and the trial division in is_prime
+        # (p >= 2 and k > 16 already give p ** k > 2^16)
+        if p > MAX_ORDER or (p > 1 and (k >= MAX_ORDER.bit_length()
+                                        or p ** k > MAX_ORDER)):
+            raise FieldTooLarge(f"field order {p}^{k} exceeds cap {MAX_ORDER}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p ** k
-        if q > MAX_ORDER:
-            raise FieldTooLarge(f"field order {q} exceeds cap {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q
@@ -212,15 +215,6 @@ class FieldSpec:
                 raise ZeroDivisionError("negative power of zero")
             return 1 if e == 0 else 0
         return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative order")
-        order = self.q - 1
-        for f in prime_factors(self.q - 1):
-            while order % f == 0 and self.pow(a, order // f) == 1:
-                order //= f
-        return order
 
     def _build_tables(self):
         q = self.q
@@ -306,22 +300,6 @@ class FieldSpec:
             raise ZeroDivisionError("negative power of zero")
         return out
 
-    # -- element factory and iteration --
-
-    def element(self, enc: int) -> "FieldElement":
-        if not 0 <= enc < self.q:
-            raise ValueError(f"encoding {enc} out of range for GF({self.q})")
-        return FieldElement(self, enc)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, e) for e in range(self.q))
-
     # -- misc --
 
     def to_json(self) -> dict:
@@ -343,69 +321,6 @@ def make_field(p: int, k: int) -> FieldSpec:
     return FieldSpec(p, k)
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A value in GF(p^k), ordered and hashed by its integer encoding."""
-
-    field: FieldSpec
-    enc: int
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other.enc
-        if isinstance(other, int):
-            # integers embed through the prime subfield
-            return other % self.field.p
-        return NotImplemented
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.digits(self.enc)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.enc, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.enc, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.enc))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.enc))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.enc, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.enc, self.field.inv(o)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.enc, e))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.enc))
-
-    def __bool__(self):
-        return self.enc != 0
-
-    def __int__(self):
-        return self.enc
-
-    def __lt__(self, other):
-        return self.enc < self._coerce(other)
-
-    def __repr__(self):
-        return f"GF({self.field.q}):{self.enc}"
-
-
 # ---------------------------------------------------------------------------
 # Polynomials over GF(p^k)
 # ---------------------------------------------------------------------------
@@ -419,7 +334,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs):
-        cs = [c.enc if isinstance(c, FieldElement) else int(c) for c in coeffs]
+        cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -439,17 +354,9 @@ class Poly:
         return cls(field, [1])
 
     @classmethod
-    def linear(cls, field: FieldSpec, alpha) -> "Poly":
+    def linear(cls, field: FieldSpec, alpha: int) -> "Poly":
         """x - alpha."""
-        a = alpha.enc if isinstance(alpha, FieldElement) else int(alpha)
-        return cls(field, [field.neg(a), 1])
-
-    @classmethod
-    def from_roots(cls, field: FieldSpec, roots) -> "Poly":
-        out = cls.one(field)
-        for r in roots:
-            out = out * cls.linear(field, r)
-        return out
+        return cls(field, [field.neg(int(alpha)), 1])
 
     @property
     def degree(self):
@@ -457,11 +364,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading_coeff(self) -> FieldElement:
-        if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return FieldElement(self.field, self.coeffs[-1])
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field == other.field
@@ -499,8 +401,7 @@ class Poly:
                     out[i + j] = F.add(out[i + j], F.mul(a, b))
         return Poly(F, out)
 
-    def scale(self, c) -> "Poly":
-        c = c.enc if isinstance(c, FieldElement) else int(c)
+    def scale(self, c: int) -> "Poly":
         F = self.field
         return Poly(F, [F.mul(a, c) for a in self.coeffs])
 
@@ -563,11 +464,6 @@ class Poly:
             acc = F.add(F.mul(acc, a), c)
         return acc
 
-    def __call__(self, a):
-        if isinstance(a, FieldElement):
-            return FieldElement(self.field, self.eval_enc(a.enc))
-        return self.eval_enc(int(a))
-
     def __repr__(self):
         return f"Poly(GF({self.field.q}), {list(self.coeffs)})"
 
@@ -576,28 +472,26 @@ class Poly:
 # Root extraction and analysis
 # ---------------------------------------------------------------------------
 
-def nth_roots(c: FieldElement, n: int) -> list[FieldElement]:
-    """All y in the field with y^n = c, sorted by encoding.
+def nth_roots(F: FieldSpec, c: int, n: int) -> list[int]:
+    """All y in F with y^n = c, sorted.
 
     Exhaustive scan; fields are capped small so this is trivially correct.
     """
-    F = c.field
-    if c.enc == 0:
-        return [F.zero()]
-    hits = [y for y in range(1, F.q) if F.pow(y, n) == c.enc]
+    if c == 0:
+        return [0]
+    hits = [y for y in range(1, F.q) if F.pow(y, n) == c]
     # power test: nonempty iff c^((q-1)/gcd(n, q-1)) == 1
     g = math.gcd(n, F.q - 1)
-    if bool(hits) != (F.pow(c.enc, (F.q - 1) // g) == 1):
+    if bool(hits) != (F.pow(c, (F.q - 1) // g) == 1):
         raise FormulaMismatch(
             f"root scan for y^{n} = {c} disagrees with Euler's criterion")
-    return [FieldElement(F, y) for y in hits]
+    return hits
 
 
 @dataclass
 class PolyAnalysis:
-    roots: list  # (FieldElement, multiplicity) pairs, sorted by encoding
+    roots: list  # (encoding, multiplicity) pairs, sorted by encoding
     separable: bool
-    leading_coeff: FieldElement
 
 
 def poly_analyze(f: Poly) -> PolyAnalysis:
@@ -618,7 +512,7 @@ def poly_analyze(f: Poly) -> PolyAnalysis:
             while not work.is_zero() and work.eval_enc(a) == 0:
                 work = work // lin
                 mult += 1
-            roots.append((FieldElement(F, a), mult))
+            roots.append((a, mult))
     g = f.gcd(f.derivative())
     separable = g.degree <= 0
-    return PolyAnalysis(roots=roots, separable=separable, leading_coeff=f.leading_coeff())
+    return PolyAnalysis(roots=roots, separable=separable)

@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 from .codes import lcp_build_regime
 from .curve import KummerCurve, census, completely_split_values, make_curve
-from .errors import CongruenceViolated, RootCountMismatch, UnknownId
+from .errors import (
+    CongruenceViolated,
+    NotPrime,
+    RegimeViolation,
+    RootCountMismatch,
+    UnknownId,
+)
 from .ffield import FieldSpec, Poly, make_field, poly_analyze
 from .nonspecial import coeffs_lambda_two, criterion_check, enumerate_nonspecial
 from .curve import InvariantTuple
@@ -25,7 +31,7 @@ class DicksonPoly:
 
 def dickson(d: int, field: FieldSpec) -> DicksonPoly:
     if d < 0:
-        raise ValueError(f"Dickson index must be >= 0, got {d}")
+        raise RegimeViolation(f"Dickson index must be >= 0, got {d}")
     prev = Poly.from_ints(field, [2])
     if d == 0:
         return DicksonPoly(0, prev)
@@ -43,16 +49,16 @@ def _field_q_squared(q: int) -> FieldSpec:
             n = q
             while n > 1:
                 if n % p:
-                    raise ValueError(f"{q} is not a prime power")
+                    raise NotPrime(f"{q} is not a prime power")
                 n //= p
                 k += 1
             return make_field(p, 2 * k)
-    raise ValueError(f"{q} is not a prime power")
+    raise NotPrime(f"{q} is not a prime power")
 
 
 def _simple_roots(f: Poly, expect: int, forbidden) -> list[int]:
     analysis = poly_analyze(f)
-    roots = sorted(r.enc for r, mult in analysis.roots if mult == 1)
+    roots = [r for r, mult in analysis.roots if mult == 1]
     if len(analysis.roots) != expect or len(roots) != expect:
         raise RootCountMismatch(
             f"expected {expect} distinct simple roots, found {analysis.roots}")
@@ -64,7 +70,7 @@ def _simple_roots(f: Poly, expect: int, forbidden) -> list[int]:
 def dickson_curve_single(m: int, q: int) -> KummerCurve:
     """y^m = (x+2)^(m/2) * phi_{(m-2)/2}(x) over GF(q^2)."""
     if m < 4 or m % 2:
-        raise ValueError(f"need even m >= 4, got m={m}")
+        raise RegimeViolation(f"need even m >= 4, got m={m}")
     if q % (m * (m - 2)) != (m - 1) % (m * (m - 2)):
         raise CongruenceViolated(
             f"need q = m-1 (mod m(m-2)); q={q}, m={m}")
@@ -79,7 +85,7 @@ def dickson_curve_single(m: int, q: int) -> KummerCurve:
 def dickson_curve_double(m: int, q: int) -> KummerCurve:
     """y^m = (x^2-4)^(m/2) * phi_{m+1}(x) over GF(q^2)."""
     if m < 4 or m % 2:
-        raise ValueError(f"need even m >= 4, got m={m}")
+        raise RegimeViolation(f"need even m >= 4, got m={m}")
     F = _field_q_squared(q)
     if (m * (m + 1)) % F.p == 0:
         raise CongruenceViolated(
@@ -116,7 +122,7 @@ def _x2_quartic_curve(p: int) -> KummerCurve:
     """y^8 = x^2 * (x^4 + 1) over GF(p^2)."""
     F = make_field(p, 2)
     quartic = Poly.from_ints(F, [1, 0, 0, 0, 1])
-    roots = sorted(r.enc for r, _ in poly_analyze(quartic).roots)
+    roots = [r for r, _ in poly_analyze(quartic).roots]
     if len(roots) != 4:
         raise RootCountMismatch(f"x^4 + 1 must split over GF({p * p})")
     branches = [(rho, 1) for rho in roots] + [(0, 2)]

@@ -22,6 +22,7 @@ from .curve import InvariantTuple, KummerCurve, make_curve
 from .errors import (
     FormulaMismatch,
     JOutOfRange,
+    LengthMismatch,
     NkNotPositive,
     NoSolution,
     RegimeViolation,
@@ -93,9 +94,9 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
     their bounds.  The two modes always agree on the verdict.
     """
     if mode not in ("cond2", "cond3"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise RegimeViolation(f"unknown mode {mode!r}")
     if len(tup.n) != curve.r:
-        raise ValueError("tuple length does not match curve")
+        raise LengthMismatch("tuple length does not match curve")
     ram = curve.ram
     bounds_ok = (tup.is_effective() and tup.n0 < ram.e_inf
                  and all(ni < ei for ni, ei in zip(tup.n, ram.e)))

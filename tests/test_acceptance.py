@@ -307,7 +307,7 @@ def test_acceptance_07_dickson_instance():
     from kummerlcp.ffield import poly_analyze
 
     analysis = poly_analyze(phi3)
-    roots = [r.enc for r, mult in analysis.roots if mult == 1]
+    roots = [r for r, mult in analysis.roots if mult == 1]
     ok = len(roots) == 3 and len(analysis.roots) == 3 and \
         F.neg(2) not in roots
     c = dickson_curve_single(8, 7)

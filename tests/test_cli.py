@@ -128,6 +128,12 @@ def test_domain_error_exit_code(capsys):
         code, _, err = run(capsys, *inline, *extra)
         assert code == 1, extra
         assert "NotAnElement" in err
+    # orders far above the cap: rejected before p ** k or a primality test
+    for fld in ("3,10000", "2305843009213693951,1"):
+        code, _, err = run(capsys, "census", "--m", "2", "--lambdas", "1",
+                           "--field", fld, "--alphas", "0")
+        assert code == 1, fld
+        assert "FieldTooLarge" in err and "Traceback" not in err
 
 
 def test_census_command(capsys):

@@ -34,12 +34,13 @@ from kummerlcp.errors import (
     DuplicateBranch,
     GcdViolation,
     InvalidPlace,
+    LengthMismatch,
     NegativeCoefficient,
     NotAnElement,
     RationalityError,
     UnsupportedRoot,
 )
-from kummerlcp.ffield import Poly
+from kummerlcp.ffield import Poly, poly_analyze
 from kummerlcp.instances import dickson_curve_single
 
 
@@ -236,29 +237,52 @@ def test_basis_valuation_abstract_guard(ex37_curve):
 
 def test_principal_divisors_have_degree_zero(f49, toy9):
     for c in (f49, toy9):
-        F = c.field
         split = completely_split_values(c)
-        num = Poly.from_roots(F, split[:2])
-        den = Poly.linear(F, c.alphas[0])
+        roots = {split[0]: 1, split[1]: 1, c.alphas[0]: -1}
         for t in (0, 1, 2):
-            D = principal_divisor(c, num, den, t)
+            D = principal_divisor(c, roots, t)
             assert D.degree == 0
     # a root that is neither a branch point nor completely split is rejected
     bad = next(a for a in range(f49.field.q)
                if a not in f49.alphas and a not in completely_split_values(f49))
     with pytest.raises(UnsupportedRoot):
-        principal_divisor(f49, Poly.linear(f49.field, bad))
+        principal_divisor(f49, {bad: 1})
 
 
 def test_principal_divisor_of_y_power(f49):
     # y^m = f(x), so m * div(y) must match div(f)
-    F = f49.field
     assert m_times_y_equals_div_f(f49)
 
 
 def m_times_y_equals_div_f(curve):
     f = curve.f_poly()
-    return curve.m * y_divisor(curve) == principal_divisor(curve, f)
+    roots = dict(poly_analyze(f).roots)
+    assert sum(roots.values()) == f.degree  # f splits over the base field
+    return curve.m * y_divisor(curve) == principal_divisor(curve, roots)
+
+
+@pytest.mark.parametrize("name", ["f49", "toy9", "dickson_m8"])
+def test_principal_divisor_matches_basis_valuation(name, request):
+    # oracle: div(prod (x - a)^mult * y^t) coefficient by coefficient against
+    # the closed-form valuation of the basis function with the same factors
+    c = request.getfixturevalue(name)
+    split = completely_split_values(c)
+    root_maps = [
+        {split[0]: 2, split[-1]: 1, c.alphas[0]: -1, c.alphas[-1]: -2},
+        {split[1]: -1, c.alphas[1]: 1, c.alphas[0]: -3},
+    ]
+    for roots in root_maps:
+        zeros_above = [p for a in roots if a in split
+                       for p in splitting_type(c, a).places]
+        checked = (c.infinity_places() + zeros_above
+                   + [p for i in range(c.r) for p in c.branch_places(i)])
+        for t in (0, 1, 2):
+            D = principal_divisor(c, roots, t)
+            bf = BasisFunction(t, 0, tuple((a, -mult) for a, mult in roots.items()))
+            for p in checked:
+                assert D.coeff(p) == basis_valuation(c, bf, p), (roots, t, p)
+            assert set(D.table) <= set(checked)
+            assert D.degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +338,11 @@ def test_ell_invariant_known_values(ex37_curve, f49):
     c = ex37_curve
     big = InvariantTuple(30, (0, 0, 0, 0, 0))
     assert ell_invariant(c, big) == big.degree(c) - c.genus + 1
+    short = InvariantTuple(0, (0, 0, 0))
+    with pytest.raises(LengthMismatch):
+        short.degree(c)
+    with pytest.raises(LengthMismatch):
+        ell_invariant(c, short)
 
 
 def test_ell_invariant_monotone(ex37_curve):
@@ -443,10 +472,8 @@ def test_maximal_census():
     # y^6 = x^5 + x over GF(25) is a model of the Hermitian curve and
     # attains the upper bound q + 1 + 2*g*sqrt(q) = 126
     F = make_field(5, 2)
-    from kummerlcp.ffield import poly_analyze
-
     quintic = Poly.from_ints(F, [0, 1, 0, 0, 0, 1])
-    roots = [r.enc for r, _ in poly_analyze(quintic).roots]
+    roots = [r for r, _ in poly_analyze(quintic).roots]
     assert len(roots) == 5
     c = make_curve(F, 6, [(rho, 1) for rho in roots])
     assert c.genus == 10

@@ -3,7 +3,13 @@ import random
 import pytest
 
 from kummerlcp import catalog, dickson, make_field, reproduce
-from kummerlcp.errors import CongruenceViolated, RootCountMismatch, UnknownId
+from kummerlcp.errors import (
+    CongruenceViolated,
+    NotPrime,
+    RegimeViolation,
+    RootCountMismatch,
+    UnknownId,
+)
 from kummerlcp.ffield import Poly, poly_analyze
 from kummerlcp.instances import (
     dickson_curve_double,
@@ -23,7 +29,7 @@ def test_dickson_small_cases(gf7):
     assert dickson(2, gf7).poly == Poly.from_ints(gf7, [-2, 0, 1])
     assert dickson(3, gf7).poly == Poly.from_ints(gf7, [0, -3, 0, 1])
     assert dickson(4, gf7).poly == Poly.from_ints(gf7, [2, 0, -4, 0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeViolation):
         dickson(-1, gf7)
 
 
@@ -56,7 +62,7 @@ def test_dickson_degree_and_leading_coeff(gf49):
     for d in range(1, 20):
         phi = dickson(d, gf49).poly
         assert phi.degree == d
-        assert phi.leading_coeff().enc == 1
+        assert phi.coeffs[-1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +87,9 @@ def test_dickson_single_m8_q7(dickson_m8):
 def test_dickson_single_congruence_guard():
     with pytest.raises(CongruenceViolated):
         dickson_curve_single(8, 5)  # 5 != 7 mod 48
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeViolation):
         dickson_curve_single(7, 7)  # odd m
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeViolation):
         dickson_curve_single(2, 3)  # m too small
 
 
@@ -107,6 +113,10 @@ def test_dickson_double_curve():
 def test_dickson_double_guard():
     with pytest.raises(CongruenceViolated):
         dickson_curve_double(4, 5)  # char 5 divides m(m+1) = 20
+    with pytest.raises(RegimeViolation):
+        dickson_curve_double(5, 11)  # odd m
+    with pytest.raises(NotPrime):
+        dickson_curve_double(4, 6)  # q = 6 is not a prime power
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from kummerlcp import (
 from kummerlcp.curve import ell_invariant_bulk
 from kummerlcp.errors import (
     JOutOfRange,
+    LengthMismatch,
     NkNotPositive,
     RegimeViolation,
     SearchSpaceTooLarge,
@@ -102,9 +103,9 @@ def test_criterion_known_tuples(ex37_curve):
 
 
 def test_criterion_bad_inputs(ex37_curve):
-    with pytest.raises(ValueError):
+    with pytest.raises(LengthMismatch):
         criterion_check(ex37_curve, InvariantTuple(0, (0, 0, 0)), mode="cond3")
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeViolation):
         criterion_check(ex37_curve, InvariantTuple(0, (0, 0, 0, 0, 0)),
                         mode="bogus")
     out_of_box = criterion_check(ex37_curve, InvariantTuple(9, (0, 0, 0, 0, 0)))

@@ -4,13 +4,32 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummerlcp"
 
 
-def test_no_assert_statements_in_package():
-    # invariants must raise a KummerError; asserts vanish under python -O
+def _package_nodes(match):
+    """'module:line' of every ast node in the package that match accepts."""
     modules = sorted(PACKAGE.rglob("*.py"))
     assert modules
     found = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                  for node in ast.walk(tree) if match(node)]
+    return found
+
+
+def test_no_assert_statements_in_package():
+    # invariants must raise a KummerError; asserts vanish under python -O
+    found = _package_nodes(lambda node: isinstance(node, ast.Assert))
     assert not found, f"assert statements in the package: {found}"
+
+
+def _raises_builtin(node, banned=("ValueError", "AssertionError")):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id in banned
+
+
+def test_no_builtin_value_or_assertion_errors_raised_in_package():
+    # bad input must end in a KummerError, which the CLI maps to an exit code
+    found = _package_nodes(_raises_builtin)
+    assert not found, f"ValueError/AssertionError raised in the package: {found}"
