@@ -12,11 +12,23 @@ Handles function spaces L(D) for divisors D of the shape
 On top of that sit generator matrices, exact rank computation over GF(q),
 the G/H construction producing complementary pairs of codes from a
 non-special divisor of degree g, and exhaustive minimum-distance checks.
+
+Codes are evaluated at whole fibers: all m places (a, y_1), ..., (a, y_m)
+above each of T distinct completely split x-values a.  A basis element
+sum_t b_t(x) * y^t takes the value sum_t b_t(a) * y_j^t there, so the
+generator matrix is the k x mT x-part matrix R (columns weight-major,
+entry [i, t * T + j] = b_t(a_j)) times a block-diagonal of invertible
+Vandermonde matrices V_a[t, j] = y_j^t, and has the rank of R.  R is
+block-diagonal by weight t, except for the rows of the delta = 1
+functional, which may join two weights; the rank of a code, and of a
+stacked pair, is the sum of gf_rank over those weight components.  Dense
+gf_rank of a whole generator matrix is the test oracle, not a production
+path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +51,7 @@ from .errors import (
     FormulaMismatch,
     LengthMismatch,
     NotNonSpecial,
+    NotWholeFibers,
     PoleAtEvaluationPlace,
     RampPreconditionViolated,
     RegimeViolation,
@@ -249,9 +262,13 @@ def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
 # ---------------------------------------------------------------------------
 
 def split_place_list(curve: KummerCurve, a_values) -> list[Place]:
-    """All places above the given completely split x-values, sorted."""
+    """All places above the given distinct completely split x-values, sorted."""
+    values = sorted(int(v) for v in a_values)
+    repeated = sorted({a for a, b in zip(values, values[1:]) if a == b})
+    if repeated:
+        raise NotWholeFibers(f"split x-values repeated: {repeated}")
     places = []
-    for a in sorted(int(v) for v in a_values):
+    for a in values:
         info = splitting_type(curve, a)
         if info.kind != "split":
             raise UnsupportedRoot(f"x = {a} is not completely split")
@@ -259,33 +276,104 @@ def split_place_list(curve: KummerCurve, a_values) -> list[Place]:
     return places
 
 
-def eval_element(curve: KummerCurve, elem: SpaceElement, a_arr, y_arr):
-    """Evaluate a space element at split places given by parallel enc arrays."""
+def fiber_values(curve: KummerCurve, places: list[Place]) -> list[int]:
+    """The sorted x-values of places that are whole fibers: m split places
+    with distinct y-values above each of distinct x-values."""
+    fibers = {}
+    for p in places:
+        if p.kind != "split":
+            raise NotWholeFibers(f"{p} is not a split place")
+        fibers.setdefault(p.a, []).append(p.y)
+    for a, ys in fibers.items():
+        if len(ys) != curve.m or len(set(ys)) != curve.m:
+            raise NotWholeFibers(
+                f"x = {a} carries {len(ys)} places with {len(set(ys))} distinct "
+                f"y-values, not the m = {curve.m} of a whole fiber")
+    return sorted(fibers)
+
+
+def x_part_matrix(curve: KummerCurve, basis: list[SpaceElement],
+                  xs) -> np.ndarray:
+    """The x-parts of a basis at split x-values, in weight-major columns.
+
+    Entry [i, t * T + j] (T = len(xs)) is the sum of c * b(xs[j]) over the
+    terms c * b(x) * y^t of basis[i].  At a split place (a, y) the element
+    takes the value sum_t [i, t * T + j] * y^t, where xs[j] = a.
+    """
     F = curve.field
-    out = np.zeros(len(a_arr), dtype=np.int64)
-    for coeff, bf in elem.terms:
-        row = F.pow_arr(a_arr, bf.xpow) if bf.xpow else np.ones(len(a_arr),
-                                                               dtype=np.int64)
-        for alpha, r in bf.factors:
-            base = F.sub_arr(a_arr, alpha)
-            if r > 0 and (base == 0).any():
-                raise PoleAtEvaluationPlace(
-                    f"pole at x = {alpha} among evaluation places")
-            row = F.mul_arr(row, F.pow_arr(base, -r))
-        if bf.t:
-            row = F.mul_arr(row, F.pow_arr(y_arr, bf.t))
-        if coeff != 1:
-            row = F.mul_arr(row, np.full(len(a_arr), coeff, dtype=np.int64))
-        out = F.add_arr(out, row)
+    xs = np.asarray(xs, dtype=np.int64)
+    T = len(xs)
+    out = np.zeros((len(basis), curve.m * T), dtype=np.int64)
+    denominators = {}  # factors -> prod (x - alpha)^(-r) at xs
+    for i, elem in enumerate(basis):
+        for coeff, bf in elem.terms:
+            if bf.factors not in denominators:
+                den = np.ones(T, dtype=np.int64)
+                for alpha, r in bf.factors:
+                    base = F.sub_arr(xs, alpha)
+                    if r > 0 and (base == 0).any():
+                        raise PoleAtEvaluationPlace(
+                            f"pole at x = {alpha} among evaluation places")
+                    den = F.mul_arr(den, F.pow_arr(base, -r))
+                denominators[bf.factors] = den
+            vals = F.mul_arr(F.pow_arr(xs, bf.xpow), denominators[bf.factors])
+            if coeff != 1:
+                vals = F.mul_arr(vals, coeff)
+            cols = slice(bf.t * T, (bf.t + 1) * T)
+            out[i, cols] = F.add_arr(out[i, cols], vals)
     return out
 
 
 def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
-                places: list[Place]) -> np.ndarray:
-    a_arr = np.array([p.a for p in places], dtype=np.int64)
+                places: list[Place],
+                xpart: np.ndarray | None = None) -> np.ndarray:
+    """Generator matrix: entry [i, j] is basis[i] at the split place
+    places[j] = (a, y), the sum over t of its x-part block t at a times y^t.
+
+    xpart, when the caller already has it, is x_part_matrix of the basis at
+    the sorted distinct x-values of places.
+    """
+    F = curve.field
+    xs = sorted({p.a for p in places})
+    X = x_part_matrix(curve, basis, xs) if xpart is None else xpart
+    T = len(xs)
+    col = np.searchsorted(xs, [p.a for p in places])
     y_arr = np.array([p.y for p in places], dtype=np.int64)
-    return np.vstack([eval_element(curve, e, a_arr, y_arr) for e in basis]) \
-        if basis else np.zeros((0, len(places)), dtype=np.int64)
+    gen = np.zeros((len(basis), len(places)), dtype=np.int64)
+    for t in range(curve.m):
+        block = X[:, t * T:(t + 1) * T]
+        rows = np.flatnonzero(block.any(axis=1))
+        if rows.size:
+            term = F.mul_arr(block[rows][:, col], F.pow_arr(y_arr, t)[None, :])
+            gen[rows] = F.add_arr(gen[rows], term)
+    return gen
+
+
+def x_part_rank(field: FieldSpec, X: np.ndarray, width: int) -> int:
+    """Rank of an x-part matrix whose columns are weight blocks of `width`
+    (the number of x-values).
+
+    Each row touches the weights whose blocks it is nonzero on; a row that
+    touches several weights joins them into one component.  After permuting
+    rows and columns the matrix is block-diagonal by component, so its rank
+    is the sum of gf_rank over the components.
+    """
+    if not width:
+        return 0
+    rows, cols = X.shape
+    touches = X.reshape(rows, cols // width, width).any(axis=2)
+    label = np.arange(cols // width)
+    for pattern in touches[touches.sum(axis=1) > 1]:
+        joined = label[pattern]
+        label[np.isin(label, joined)] = joined.min()
+    rank = 0
+    for comp in np.unique(label):
+        weights = np.flatnonzero(label == comp)
+        members = np.flatnonzero(touches[:, weights].any(axis=1))
+        if members.size:
+            block_cols = (weights[:, None] * width + np.arange(width)).ravel()
+            rank += gf_rank(field, X[np.ix_(members, block_cols)])
+    return rank
 
 
 def gf_rank(field: FieldSpec, matrix: np.ndarray) -> int:
@@ -325,7 +413,9 @@ class LinearCode:
     gen: np.ndarray                 # k x n matrix of encodings
     divisor_G: Divisor
     designed_distance: int
-    basis: list = dc_field(default_factory=list)
+    basis: list
+    places: list                    # the n evaluation places, whole fibers
+    xpart: np.ndarray               # k x n x-part matrix at their x-values
 
     def to_json(self):
         return {
@@ -338,8 +428,9 @@ class LinearCode:
 
 
 def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCode:
-    """Evaluation code of L(G) at the given split places."""
+    """Evaluation code of L(G) at split places that are whole fibers."""
     n = len(places)
+    xs = fiber_values(curve, places)
     if any(p in G.table for p in places):
         raise SupportOverlap("supp(G) meets the evaluation divisor")
     deg = G.degree
@@ -351,20 +442,28 @@ def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCod
     if len(basis) != k:
         raise DimensionMismatch(
             f"basis size {len(basis)} != deg - g + 1 = {k}")
-    gen = eval_matrix(curve, basis, places)
-    if gf_rank(curve.field, gen) != k:
+    # whole fibers make gen = xpart * blockdiag(Vandermonde in y), so the
+    # generator matrix has the rank of the x-part matrix
+    xpart = x_part_matrix(curve, basis, xs)
+    if x_part_rank(curve.field, xpart, len(xs)) != k:
         raise DimensionMismatch("generator matrix rank below ell(G)")
-    return LinearCode(curve.field, n, k, gen, G, n - deg, basis)
+    gen = eval_matrix(curve, basis, places, xpart)
+    return LinearCode(curve.field, n, k, gen, G, n - deg, basis, places, xpart)
 
 
 def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
-    """True iff the two codes intersect trivially and span everything."""
-    if C.n != E.n or C.field != E.field:
-        raise LengthMismatch("codes must share length and field")
+    """True iff the two codes intersect trivially and span everything.
+
+    The stacked generator matrix has the rank of the stacked x-part
+    matrices, since both codes share their evaluation places.
+    """
+    if C.n != E.n or C.field != E.field or C.places != E.places:
+        raise LengthMismatch("codes must share length, field and places")
     if C.k + E.k != C.n:
         return False
-    stacked = np.vstack([C.gen, E.gen])
-    return gf_rank(C.field, stacked) == C.n
+    stacked = np.vstack([C.xpart, E.xpart])
+    width = len({p.a for p in C.places})
+    return x_part_rank(C.field, stacked, width) == C.n
 
 
 def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:
@@ -457,8 +556,8 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
             raise RampPreconditionViolated(
                 f"branch {i} (lambda={curve.lambdas[i]}) is not totally ramified")
     places = split_place_list(curve, split_values)
-    t = len(set(int(v) for v in split_values))
-    n = t * curve.m
+    n = len(places)
+    t = n // curve.m
     n_phi = len(phi_indices)
     first, last = s_interval(curve, n, n_phi)
     if s is None:

@@ -114,6 +114,10 @@ class SupportOverlap(KummerError):
     """supp(G) and the evaluation divisor must be disjoint."""
 
 
+class NotWholeFibers(KummerError):
+    """Evaluation places must be whole fibers above distinct split x-values."""
+
+
 class DegreeOutOfRange(KummerError):
     """deg(G) must satisfy 2g-2 < deg(G) < n."""
 

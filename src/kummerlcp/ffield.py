@@ -475,16 +475,25 @@ class Poly:
 def nth_roots(F: FieldSpec, c: int, n: int) -> list[int]:
     """All y in F with y^n = c, sorted.
 
-    Exhaustive scan; fields are capped small so this is trivially correct.
+    Discrete logarithm: y^n = c for c != 0 means n * log y = log c modulo
+    q - 1.  With g = gcd(n, q - 1) that congruence is solvable iff g divides
+    log c, and then has exactly g solutions, one base solution plus the
+    multiples of (q - 1)/g.  O(g) work instead of a scan of the field.
     """
     if c == 0:
         return [0]
-    hits = [y for y in range(1, F.q) if F.pow(y, n) == c]
+    order = F.q - 1
+    g = math.gcd(n, order)
+    log_c = int(F._log[c])
+    hits = []
+    if log_c % g == 0:
+        step = order // g
+        base = log_c // g * pow(n // g, -1, step) % step
+        hits = sorted(int(F._exp[base + j * step]) for j in range(g))
     # power test: nonempty iff c^((q-1)/gcd(n, q-1)) == 1
-    g = math.gcd(n, F.q - 1)
-    if bool(hits) != (F.pow(c, (F.q - 1) // g) == 1):
+    if bool(hits) != (F.pow(c, order // g) == 1):
         raise FormulaMismatch(
-            f"root scan for y^{n} = {c} disagrees with Euler's criterion")
+            f"root solve for y^{n} = {c} disagrees with Euler's criterion")
     return hits
 
 

@@ -122,6 +122,14 @@ def test_domain_error_exit_code(capsys):
                            "--tuple", "0,0,2,3,6,1", "--phi", phi)
         assert code == 1, phi
         assert "RampPreconditionViolated" in err
+    # a repeated split x-value (2 splits completely on f169)
+    for how in (["--regime", "lambda_two"],
+                ["--tuple", "0,0,2,3,6,1", "--phi", "0,1,2,3"]):
+        code, _, err = run(capsys, "lcp", "build", "--catalog", "f169",
+                           *how, "--s", "2", "--split", "2,2")
+        assert code == 1, how
+        assert "NotWholeFibers" in err and "[2]" in err
+        assert "Traceback" not in err
     # encodings outside GF(7): the leading coefficient, then a branch point
     inline = ["census", "--field", "7,1", "--m", "2", "--lambdas", "1,1"]
     for extra in (["--alphas", "0,1", "--a", "99"], ["--alphas", "0,99"]):

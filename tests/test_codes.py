@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kummerlcp import (
     Divisor,
@@ -25,12 +26,14 @@ from kummerlcp.codes import (
     divisor_shape,
     s_interval,
     split_place_list,
+    x_part_rank,
 )
-from kummerlcp.curve import ell_invariant, x_pole_divisor
+from kummerlcp.curve import Place, ell_invariant, x_pole_divisor
 from kummerlcp.errors import (
     DegreeOutOfRange,
     LengthMismatch,
     NotNonSpecial,
+    NotWholeFibers,
     RampPreconditionViolated,
     RegimeViolation,
     SRangeEmpty,
@@ -39,6 +42,10 @@ from kummerlcp.errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
+
+
+#: (non-special tuple A, Phi) of the pair on y^8 = x^2 (x^4 + 1), f49 and f169
+QUARTIC_PAIR = (InvariantTuple(0, (0, 2, 3, 6, 1)), [0, 1, 2, 3])
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +198,15 @@ def test_eval_matrix_constants_row(f169):
 def test_split_place_list_rejects_bad_values(f169):
     with pytest.raises(UnsupportedRoot):
         split_place_list(f169, [f169.alphas[0]])
+    # a repeated x-value would evaluate its fiber twice
+    values = completely_split_values(f169)
+    repeated = values + [values[0]]
+    with pytest.raises(NotWholeFibers, match=rf"repeated: \[{values[0]}\]"):
+        split_place_list(f169, repeated)
+    with pytest.raises(NotWholeFibers, match=rf"repeated: \[{values[0]}\]"):
+        lcp_build_general(f169, *QUARTIC_PAIR, repeated, 2)
+    with pytest.raises(NotWholeFibers, match=rf"repeated: \[{values[0]}\]"):
+        lcp_build_regime(f169, "lambda_two", split_values=repeated, s=2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +243,22 @@ def test_build_code_errors(toy9):
                    + Divisor({places[0]: 1}), places)
 
 
+def test_build_code_needs_whole_fibers(toy9):
+    A = coeffs_all_ones(2, 5)
+    G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
+         + x_pole_divisor(toy9))
+    places = split_place_list(toy9, completely_split_values(toy9))
+    not_fibers = [
+        places[:-1],                            # a fiber missing a place
+        places[:-1] + [places[-2]],             # a y-value twice
+        places + places[:2],                    # a fiber twice
+        [Place("branch", i=0, j=0)] + places[1:],
+    ]
+    for bad in not_fibers:
+        with pytest.raises(NotWholeFibers):
+            build_code(toy9, G, bad)
+
+
 def test_min_distance_toy_codes(toy9):
     # designed distance n - deg(G) is a true lower bound; the toy codes are
     # small enough for exhaustive enumeration
@@ -246,10 +278,13 @@ def test_lcp_verify_basics(toy9):
     assert not lcp_verify(c1, c2)  # dimensions don't even add up
     with pytest.raises(LengthMismatch):
         lcp_verify(c2, toy_code_short(toy9))
+    # same length, different places
+    with pytest.raises(LengthMismatch):
+        lcp_verify(toy_code_short(toy9), toy_code_short(toy9, values=slice(1, 4)))
 
 
-def toy_code_short(toy9):
-    places = split_place_list(toy9, completely_split_values(toy9)[:3])
+def toy_code_short(toy9, values=slice(0, 3)):
+    places = split_place_list(toy9, completely_split_values(toy9)[values])
     A = coeffs_all_ones(2, 5)
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + x_pole_divisor(toy9))
@@ -341,3 +376,84 @@ def test_lcp_code_bases_lie_in_their_spaces(f169):
     pair = lcp_build_regime(f169, "lambda_two", s=2)
     assert_basis_in_space(f169, pair.C.basis, pair.C.divisor_G)
     assert_basis_in_space(f169, pair.E.basis, pair.E.divisor_G)
+
+
+# ---------------------------------------------------------------------------
+# The x-part rank against dense elimination of the generator matrix
+# ---------------------------------------------------------------------------
+
+def stacked_pair(pair):
+    """The pair's stacked x-part and generator matrices."""
+    return (np.vstack([pair.C.xpart, pair.E.xpart]),
+            np.vstack([pair.C.gen, pair.E.gen]))
+
+
+def test_x_part_rank_coupling_rows(f169):
+    pair = lcp_build_regime(f169, "lambda_two", s=2)
+    F, m, T = f169.field, f169.m, 28
+    X, gen = stacked_pair(pair)
+    weights = X.reshape(len(X), m, T).any(axis=2).sum(axis=1)
+    coupling = np.flatnonzero(weights > 1)
+    assert len(coupling) == 2  # the delta = 1 functional's rows
+    for code in (pair.C, pair.E):
+        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen) == code.k
+    assert x_part_rank(F, X, T) == gf_rank(F, gen) == 224
+    # rank-deficient stacks: a repeated coupling row or basis row adds
+    # nothing, and one code's rows twice have the rank of that code
+    for extra in (coupling[:1], coupling, [0]):
+        assert x_part_rank(F, np.vstack([X, X[extra]]), T) \
+            == gf_rank(F, np.vstack([gen, gen[extra]])) == 224
+    C = pair.C
+    assert x_part_rank(F, np.vstack([C.xpart, C.xpart]), T) \
+        == gf_rank(F, np.vstack([C.gen, C.gen])) == C.k
+    assert not lcp_verify(C, C)
+
+
+def fiber_rank_property(curve, A, phi, min_values, data):
+    """For a pair on a drawn subset of split values: the x-part rank of each
+    code, of the stack, and of drawn row selections (repeats allowed) with
+    drawn row combinations appended equals the dense rank of the matching
+    generator rows."""
+    F = curve.field
+    split = completely_split_values(curve)
+    values = data.draw(st.lists(st.sampled_from(split), min_size=min_values,
+                                unique=True), label="values")
+    first, last = s_interval(curve, len(values) * curve.m, len(phi))
+    s = data.draw(st.integers(first, last), label="s")
+    pair = lcp_build_general(curve, A, phi, values, s)
+    T = len(values)
+    for code in (pair.C, pair.E):
+        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen) == code.k
+    X, gen = stacked_pair(pair)
+    assert x_part_rank(F, X, T) == gf_rank(F, gen) == pair.C.n
+    assert pair.verified
+    row = st.integers(0, len(X) - 1)
+    rows = data.draw(st.lists(row, min_size=1, max_size=len(X)), label="rows")
+    combos = data.draw(st.lists(st.tuples(row, row, st.integers(1, F.q - 1)),
+                                max_size=3), label="combos")
+    sub_X, sub_gen = [X[rows]], [gen[rows]]
+    for i, j, c in combos:  # row i + c * row j, crossing weights in general
+        sub_X.append(F.add_arr(X[i], F.mul_arr(X[j], c))[None, :])
+        sub_gen.append(F.add_arr(gen[i], F.mul_arr(gen[j], c))[None, :])
+    assert x_part_rank(F, np.vstack(sub_X), T) == gf_rank(F, np.vstack(sub_gen))
+
+
+PROPERTY_SETTINGS = dict(deadline=None, derandomize=True)
+
+
+@settings(max_examples=25, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_fiber_rank_equals_dense_rank_toy9(toy9, data):
+    fiber_rank_property(toy9, coeffs_all_ones(2, 5), [0], 2, data)
+
+
+@settings(max_examples=10, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_fiber_rank_equals_dense_rank_f49(f49, data):
+    fiber_rank_property(f49, *QUARTIC_PAIR, 6, data)
+
+
+@settings(max_examples=6, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_fiber_rank_equals_dense_rank_f169(f169, data):
+    fiber_rank_property(f169, *QUARTIC_PAIR, 6, data)

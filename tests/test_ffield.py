@@ -155,6 +155,37 @@ def test_nth_roots_properties(field):
         assert counted == F.q
 
 
+def scan_roots(F, n) -> dict:
+    """Oracle: {c: every y with y^n = c, increasing}, by scanning the field."""
+    out = {}
+    for y in range(F.q):
+        out.setdefault(F.pow(y, n), []).append(y)
+    return out
+
+
+@pytest.mark.parametrize("pk", [(7, 1), (3, 2), (7, 2), (13, 2)],
+                         ids=lambda pk: f"GF({pk[0] ** pk[1]})")
+def test_nth_roots_match_field_scan(pk):
+    F = make_field(*pk)
+    # every n up to q - 1: the divisors of q - 1, and exponents n for which
+    # n / gcd(n, q - 1) must be inverted
+    for n in range(1, F.q):
+        scan = scan_roots(F, n)
+        for c in range(F.q):
+            assert nth_roots(F, c, n) == scan.get(c, []), (c, n)
+
+
+def test_nth_roots_match_field_scan_sampled():
+    F = make_field(103, 2)  # q - 1 = 10608 = 2^4 * 3 * 13 * 17
+    rng = random.Random(11)
+    divisors = [d for d in range(1, F.q) if (F.q - 1) % d == 0]
+    for n in [8] + rng.sample(divisors, 4) + rng.sample(range(1, F.q), 3):
+        scan = scan_roots(F, n)
+        powers = [F.pow(rng.randrange(1, F.q), n) for _ in range(20)]
+        for c in rng.sample(range(F.q), 40) + powers:
+            assert nth_roots(F, c, n) == scan.get(c, []), (c, n)
+
+
 def test_nth_roots_known_values():
     F = make_field(7, 1)
     assert nth_roots(F, 1, 3) == [1, 2, 4]
