@@ -16,14 +16,15 @@ non-special divisor of degree g, and exhaustive minimum-distance checks.
 Codes are evaluated at whole fibers: all m places (a, y_1), ..., (a, y_m)
 above each of T distinct completely split x-values a.  A basis element
 sum_t b_t(x) * y^t takes the value sum_t b_t(a) * y_j^t there, so the
-generator matrix is the k x mT x-part matrix R (columns weight-major,
-entry [i, t * T + j] = b_t(a_j)) times a block-diagonal of invertible
-Vandermonde matrices V_a[t, j] = y_j^t, and has the rank of R.  R is
-block-diagonal by weight t, except for the rows of the delta = 1
+generator matrix is the k x mT x-part matrix R of eval_matrix (columns
+weight-major, entry [i, t * T + j] = b_t(a_j)) times a block-diagonal of
+invertible Vandermonde matrices V_a[t, j] = y_j^t, and has the rank of R.
+R is block-diagonal by weight t, except for the rows of the delta = 1
 functional, which may join two weights; the rank of a code, and of a
 stacked pair, is the sum of gf_rank over those weight components.  Dense
 gf_rank of a whole generator matrix is the test oracle, not a production
-path.
+path.  A code stores R only; LinearCode.gen() multiplies the generator
+matrix out on demand.
 """
 
 from __future__ import annotations
@@ -292,16 +293,17 @@ def fiber_values(curve: KummerCurve, places: list[Place]) -> list[int]:
     return sorted(fibers)
 
 
-def x_part_matrix(curve: KummerCurve, basis: list[SpaceElement],
-                  xs) -> np.ndarray:
-    """The x-parts of a basis at split x-values, in weight-major columns.
+def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
+                places: list[Place]) -> np.ndarray:
+    """The basis at whole fibers of split places, in weight coordinates.
 
-    Entry [i, t * T + j] (T = len(xs)) is the sum of c * b(xs[j]) over the
-    terms c * b(x) * y^t of basis[i].  At a split place (a, y) the element
-    takes the value sum_t [i, t * T + j] * y^t, where xs[j] = a.
+    With xs the T sorted x-values of places, entry [i, t * T + j] is the sum
+    of c * b(xs[j]) over the terms c * b(x) * y^t of basis[i].  At the place
+    (xs[j], y) the element takes the value sum_t [i, t * T + j] * y^t, so
+    this k x mT matrix has the generator matrix's shape and rank.
     """
     F = curve.field
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = np.asarray(fiber_values(curve, places), dtype=np.int64)
     T = len(xs)
     out = np.zeros((len(basis), curve.m * T), dtype=np.int64)
     denominators = {}  # factors -> prod (x - alpha)^(-r) at xs
@@ -322,31 +324,6 @@ def x_part_matrix(curve: KummerCurve, basis: list[SpaceElement],
             cols = slice(bf.t * T, (bf.t + 1) * T)
             out[i, cols] = F.add_arr(out[i, cols], vals)
     return out
-
-
-def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
-                places: list[Place],
-                xpart: np.ndarray | None = None) -> np.ndarray:
-    """Generator matrix: entry [i, j] is basis[i] at the split place
-    places[j] = (a, y), the sum over t of its x-part block t at a times y^t.
-
-    xpart, when the caller already has it, is x_part_matrix of the basis at
-    the sorted distinct x-values of places.
-    """
-    F = curve.field
-    xs = sorted({p.a for p in places})
-    X = x_part_matrix(curve, basis, xs) if xpart is None else xpart
-    T = len(xs)
-    col = np.searchsorted(xs, [p.a for p in places])
-    y_arr = np.array([p.y for p in places], dtype=np.int64)
-    gen = np.zeros((len(basis), len(places)), dtype=np.int64)
-    for t in range(curve.m):
-        block = X[:, t * T:(t + 1) * T]
-        rows = np.flatnonzero(block.any(axis=1))
-        if rows.size:
-            term = F.mul_arr(block[rows][:, col], F.pow_arr(y_arr, t)[None, :])
-            gen[rows] = F.add_arr(gen[rows], term)
-    return gen
 
 
 def x_part_rank(field: FieldSpec, X: np.ndarray, width: int) -> int:
@@ -410,12 +387,31 @@ class LinearCode:
     field: FieldSpec
     n: int
     k: int
-    gen: np.ndarray                 # k x n matrix of encodings
     divisor_G: Divisor
     designed_distance: int
     basis: list
     places: list                    # the n evaluation places, whole fibers
-    xpart: np.ndarray               # k x n x-part matrix at their x-values
+    xpart: np.ndarray               # k x n eval_matrix of basis at places
+
+    def gen(self) -> np.ndarray:
+        """The k x n generator matrix, built from xpart on every call.
+
+        Entry [i, j] is basis[i] at places[j] = (a, y): the sum over t of
+        xpart's weight-t block at a times y^t.
+        """
+        F = self.field
+        xs = sorted({p.a for p in self.places})
+        T = len(xs)
+        col = np.searchsorted(xs, [p.a for p in self.places])
+        y_arr = np.array([p.y for p in self.places], dtype=np.int64)
+        gen = np.zeros((self.k, self.n), dtype=np.int64)
+        for t in range(self.xpart.shape[1] // T):
+            block = self.xpart[:, t * T:(t + 1) * T]
+            rows = np.flatnonzero(block.any(axis=1))
+            if rows.size:
+                term = F.mul_arr(block[rows][:, col], F.pow_arr(y_arr, t)[None, :])
+                gen[rows] = F.add_arr(gen[rows], term)
+        return gen
 
     def to_json(self):
         return {
@@ -423,14 +419,14 @@ class LinearCode:
             "k": self.k,
             "field": {"p": self.field.p, "k": self.field.k},
             "designed_distance": self.designed_distance,
-            "rows": self.gen.tolist(),
+            "rows": self.gen().tolist(),
         }
 
 
 def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCode:
     """Evaluation code of L(G) at split places that are whole fibers."""
     n = len(places)
-    xs = fiber_values(curve, places)
+    fiber_values(curve, places)  # before the checks that assume split places
     if any(p in G.table for p in places):
         raise SupportOverlap("supp(G) meets the evaluation divisor")
     deg = G.degree
@@ -442,13 +438,11 @@ def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCod
     if len(basis) != k:
         raise DimensionMismatch(
             f"basis size {len(basis)} != deg - g + 1 = {k}")
-    # whole fibers make gen = xpart * blockdiag(Vandermonde in y), so the
-    # generator matrix has the rank of the x-part matrix
-    xpart = x_part_matrix(curve, basis, xs)
-    if x_part_rank(curve.field, xpart, len(xs)) != k:
+    # the generator matrix has the rank of its weight-coordinate matrix
+    xpart = eval_matrix(curve, basis, places)
+    if x_part_rank(curve.field, xpart, n // curve.m) != k:
         raise DimensionMismatch("generator matrix rank below ell(G)")
-    gen = eval_matrix(curve, basis, places, xpart)
-    return LinearCode(curve.field, n, k, gen, G, n - deg, basis, places, xpart)
+    return LinearCode(curve.field, n, k, G, n - deg, basis, places, xpart)
 
 
 def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
@@ -472,6 +466,7 @@ def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:
     q, k, n = F.q, code.k, code.n
     if q**k > cap:
         raise TooLargeToEnumerate(f"q^k = {q**k} exceeds cap {cap}")
+    gen = code.gen()
     best = n
     batch = max(1, min(q**k, 1 << 14))
     total = q**k
@@ -487,7 +482,7 @@ def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:
             nz = digit != 0
             if nz.any():
                 cw[nz] = F.add_arr(cw[nz], F.mul_arr(digit[nz, None],
-                                                     code.gen[i][None, :]))
+                                                     gen[i][None, :]))
         weights = (cw != 0).sum(axis=1)
         best = min(best, int(weights.min()))
         start = stop

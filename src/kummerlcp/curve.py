@@ -363,10 +363,6 @@ class InvariantTuple:
     def to_json(self):
         return {"n0": self.n0, "n": list(self.n)}
 
-    @staticmethod
-    def from_json(obj) -> "InvariantTuple":
-        return InvariantTuple(int(obj["n0"]), tuple(int(v) for v in obj["n"]))
-
 
 def invariant_divisor(curve: KummerCurve, tup: InvariantTuple) -> Divisor:
     """Expand an invariant tuple into an explicit place table."""
@@ -421,14 +417,15 @@ def principal_divisor(curve: KummerCurve, roots, t: int = 0) -> Divisor:
     completely split value; other x-values have no rational place class to
     carry them.
     """
-    out = t * y_divisor(curve)
+    table = (t * y_divisor(curve)).table
     for a, mult in roots.items():
         if curve.alphas and a in curve.alphas:
             zero = branch_zero_divisor(curve, curve.alphas.index(a))
         else:
             zero = split_zero_divisor(curve, a)
-        out = out + mult * (zero - x_pole_divisor(curve))
-    return out
+        for p, c in zero.table.items():
+            table[p] = table.get(p, 0) + mult * c
+    return Divisor(table) - sum(roots.values()) * x_pole_divisor(curve)
 
 
 # ---------------------------------------------------------------------------

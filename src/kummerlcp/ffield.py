@@ -283,12 +283,6 @@ class FieldSpec:
             out[mask] = self._exp[(la + lb) % (self.q - 1)]
         return out
 
-    def inv_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if (a == 0).any():
-            raise ZeroDivisionError("inverse of zero field element")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
-
     def pow_arr(self, a, e: int):
         a = np.asarray(a, dtype=np.int64)
         out = np.zeros(a.shape, dtype=np.int64)

@@ -53,3 +53,9 @@ def toy9(gf9):
 @pytest.fixture(scope="session")
 def dickson_m8():
     return dickson_curve_single(8, 7)
+
+
+@pytest.fixture(scope="session")
+def dickson103():
+    # GF(103^2), 1557 completely split x-values
+    return dickson_curve_single(8, 103)

@@ -280,7 +280,7 @@ def test_acceptance_06_quartic_curve_end_to_end():
     ok169 = (c169.genus == 13 and res169.n_rational == 232 == brute169
              and res169.split_count == 28)
     pair = lcp_build_regime(c169, "lambda_two", s=2)
-    stacked = np.vstack([pair.C.gen, pair.E.gen])
+    stacked = np.vstack([pair.C.gen(), pair.E.gen()])
     ok169 = (ok169 and pair.s == 2
              and (pair.C.n, pair.C.k, pair.C.designed_distance) == (224, 160, 52)
              and (pair.E.n, pair.E.k, pair.E.designed_distance) == (224, 64, 148)
@@ -360,7 +360,7 @@ def _check_code_basis(curve, code):
                     return False
         if delta == 1 and infinity_functional(curve, A.n0, elem) != 0:
             return False
-    return gf_rank(curve.field, code.gen) == code.k == len(code.basis)
+    return gf_rank(curve.field, code.gen()) == code.k == len(code.basis)
 
 
 def test_acceptance_09_basis_validity(toy9, f169, dickson_m8):

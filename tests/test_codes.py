@@ -192,7 +192,9 @@ def test_eval_matrix_constants_row(f169):
     basis = rr_basis(f169, (InvariantTuple(0, (0,) * 5), 0))
     M = eval_matrix(f169, basis, places)
     assert M.shape == (1, 2 * f169.m)
-    assert (M == 1).all()
+    # the constant 1 is its weight-0 x-part at both x-values, nothing else
+    assert (M[:, :2] == 1).all()
+    assert not M[:, 2:].any()
 
 
 def test_split_place_list_rejects_bad_values(f169):
@@ -226,7 +228,7 @@ def test_build_code_toy_parameters(toy9):
         code = toy_code(toy9, c)
         assert (code.n, code.k) == (8, k)
         assert code.designed_distance == 8 - (1 + 2 * c)
-        assert gf_rank(toy9.field, code.gen) == k
+        assert gf_rank(toy9.field, code.gen()) == k
         assert_basis_in_space(toy9, code.basis, code.divisor_G)
 
 
@@ -248,15 +250,49 @@ def test_build_code_needs_whole_fibers(toy9):
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + x_pole_divisor(toy9))
     places = split_place_list(toy9, completely_split_values(toy9))
+    basis = rr_basis(toy9, G)
     not_fibers = [
         places[:-1],                            # a fiber missing a place
         places[:-1] + [places[-2]],             # a y-value twice
         places + places[:2],                    # a fiber twice
         [Place("branch", i=0, j=0)] + places[1:],
+        [toy9.q_infinity()] + places,
     ]
     for bad in not_fibers:
         with pytest.raises(NotWholeFibers):
             build_code(toy9, G, bad)
+        with pytest.raises(NotWholeFibers):  # the evaluator checks on its own
+            eval_matrix(toy9, basis, bad)
+
+
+def scalar_gen(code):
+    """Oracle generator matrix: each basis element at each place (a, y),
+    by scalar field arithmetic."""
+    F = code.field
+    rows = []
+    for elem in code.basis:
+        row = []
+        for p in code.places:
+            total = 0
+            for coeff, bf in elem.terms:
+                v = F.mul(coeff, F.mul(F.pow(p.a, bf.xpow), F.pow(p.y, bf.t)))
+                for alpha, r in bf.factors:
+                    v = F.mul(v, F.pow(F.inv(F.sub(p.a, alpha)), r))
+                total = F.add(total, v)
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def test_gen_matches_scalar_oracle(toy9, f49, f169):
+    codes = [toy_code(toy9, c) for c in (1, 2, 3)]
+    for curve in (f49, f169):
+        pair = lcp_build_regime(curve, "lambda_two", s=2)
+        codes += [pair.C, pair.E]
+    for code in codes:
+        want = scalar_gen(code)
+        assert code.gen().tolist() == want
+        assert code.to_json()["rows"] == want
 
 
 def test_min_distance_toy_codes(toy9):
@@ -385,7 +421,7 @@ def test_lcp_code_bases_lie_in_their_spaces(f169):
 def stacked_pair(pair):
     """The pair's stacked x-part and generator matrices."""
     return (np.vstack([pair.C.xpart, pair.E.xpart]),
-            np.vstack([pair.C.gen, pair.E.gen]))
+            np.vstack([pair.C.gen(), pair.E.gen()]))
 
 
 def test_x_part_rank_coupling_rows(f169):
@@ -396,7 +432,7 @@ def test_x_part_rank_coupling_rows(f169):
     coupling = np.flatnonzero(weights > 1)
     assert len(coupling) == 2  # the delta = 1 functional's rows
     for code in (pair.C, pair.E):
-        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen) == code.k
+        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen()) == code.k
     assert x_part_rank(F, X, T) == gf_rank(F, gen) == 224
     # rank-deficient stacks: a repeated coupling row or basis row adds
     # nothing, and one code's rows twice have the rank of that code
@@ -405,7 +441,7 @@ def test_x_part_rank_coupling_rows(f169):
             == gf_rank(F, np.vstack([gen, gen[extra]])) == 224
     C = pair.C
     assert x_part_rank(F, np.vstack([C.xpart, C.xpart]), T) \
-        == gf_rank(F, np.vstack([C.gen, C.gen])) == C.k
+        == gf_rank(F, np.vstack([C.gen(), C.gen()])) == C.k
     assert not lcp_verify(C, C)
 
 
@@ -423,7 +459,7 @@ def fiber_rank_property(curve, A, phi, min_values, data):
     pair = lcp_build_general(curve, A, phi, values, s)
     T = len(values)
     for code in (pair.C, pair.E):
-        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen) == code.k
+        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen()) == code.k
     X, gen = stacked_pair(pair)
     assert x_part_rank(F, X, T) == gf_rank(F, gen) == pair.C.n
     assert pair.verified

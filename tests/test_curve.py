@@ -261,7 +261,7 @@ def m_times_y_equals_div_f(curve):
     return curve.m * y_divisor(curve) == principal_divisor(curve, roots)
 
 
-@pytest.mark.parametrize("name", ["f49", "toy9", "dickson_m8"])
+@pytest.mark.parametrize("name", ["f49", "toy9", "dickson_m8", "dickson103"])
 def test_principal_divisor_matches_basis_valuation(name, request):
     # oracle: div(prod (x - a)^mult * y^t) coefficient by coefficient against
     # the closed-form valuation of the basis function with the same factors
@@ -270,6 +270,9 @@ def test_principal_divisor_matches_basis_valuation(name, request):
     root_maps = [
         {split[0]: 2, split[-1]: 1, c.alphas[0]: -1, c.alphas[-1]: -2},
         {split[1]: -1, c.alphas[1]: 1, c.alphas[0]: -3},
+        # up to 50 split values (the lmd identity's shape), mixed signs
+        {**{a: (-1) ** j * (j % 3 + 1) for j, a in enumerate(split[:50])},
+         c.alphas[0]: 2},
     ]
     for roots in root_maps:
         zeros_above = [p for a in roots if a in split

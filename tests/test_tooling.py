@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummerlcp"
@@ -33,3 +34,24 @@ def test_no_builtin_value_or_assertion_errors_raised_in_package():
     # bad input must end in a KummerError, which the CLI maps to an exit code
     found = _package_nodes(_raises_builtin)
     assert not found, f"ValueError/AssertionError raised in the package: {found}"
+
+
+def test_bench_tracer_covers_every_layer():
+    # a refactor that drops or renames a traced function must fail here,
+    # not only in the benchmark's traced run
+    bench = PACKAGE.parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import stagetrace
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    for name in ("catalog", "dickson103_n400"):
+        wl = workloads.WORKLOADS[name]
+        with stagetrace.Tracer() as tracer:
+            inputs = wl.setup(1)
+            out = wl.op(inputs, 0)
+            snap = tracer.snapshot()
+        assert wl.check(inputs, 0, out) is None
+        assert stagetrace.coverage_gaps(snap, name) == [], name
+        assert stagetrace.installed_wrappers() == []
