@@ -21,10 +21,18 @@ weight-major, entry [i, t * T + j] = b_t(a_j)) times a block-diagonal of
 invertible Vandermonde matrices V_a[t, j] = y_j^t, and has the rank of R.
 R is block-diagonal by weight t, except for the rows of the delta = 1
 functional, which may join two weights; the rank of a code, and of a
-stacked pair, is the sum of gf_rank over those weight components.  Dense
-gf_rank of a whole generator matrix is the test oracle, not a production
-path.  A code stores R only; LinearCode.gen() multiplies the generator
-matrix out on demand.
+stacked pair, is the sum of the ranks of those weight components.  A
+component whose rows are single terms x^j / D(x), with at most two
+denominators D (one per code) and exponents 0..d for each, is ranked from
+its denominators: a Vandermonde rank for one code, and for a stack the
+rank of the small matrix of x^j * e mod c, where c and e are the lcm of
+the two denominators over each of them (see _monomial_rank).  The
+non-pole check of eval_matrix makes that lcm nonzero at every x-value.
+gf_rank eliminates that small matrix and every other component: rows of
+the delta = 1 functional, multi-term rows, exponents with gaps and stacks
+whose degree reaches T.  Dense gf_rank of a whole generator matrix is the
+test oracle, not a production path.  A code stores R only;
+LinearCode.gen() multiplies the generator matrix out on demand.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from .errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from .ffield import FieldSpec
+from .ffield import FieldSpec, Poly
 from .nonspecial import (
     coeffs_half_double,
     coeffs_half_single,
@@ -326,14 +334,20 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     return out
 
 
-def x_part_rank(field: FieldSpec, X: np.ndarray, width: int) -> int:
+def x_part_rank(field: FieldSpec, X: np.ndarray, width: int,
+                basis: list[SpaceElement] | None = None) -> int:
     """Rank of an x-part matrix whose columns are weight blocks of `width`
     (the number of x-values).
 
     Each row touches the weights whose blocks it is nonzero on; a row that
     touches several weights joins them into one component.  After permuting
     rows and columns the matrix is block-diagonal by component, so its rank
-    is the sum of gf_rank over the components.
+    is the sum of the component ranks.
+
+    X must be eval_matrix of `basis` (basis[i] behind row i) when a basis is
+    given.  A component whose rows are all single terms x^j / D(x) is then
+    ranked from its denominators by _monomial_rank; every other component,
+    and every component when no basis is given, by gf_rank.
     """
     if not width:
         return 0
@@ -343,14 +357,82 @@ def x_part_rank(field: FieldSpec, X: np.ndarray, width: int) -> int:
     for pattern in touches[touches.sum(axis=1) > 1]:
         joined = label[pattern]
         label[np.isin(label, joined)] = joined.min()
+    shapes = [None] * rows if basis is None else [_monomial(e) for e in basis]
     rank = 0
     for comp in np.unique(label):
         weights = np.flatnonzero(label == comp)
         members = np.flatnonzero(touches[:, weights].any(axis=1))
-        if members.size:
+        if not members.size:
+            continue
+        # single-term rows touch one weight, so such a component is one block
+        comp_rank = None
+        if all(shapes[i] is not None for i in members):
+            comp_rank = _monomial_rank(field, [shapes[i] for i in members], width)
+        if comp_rank is None:
             block_cols = (weights[:, None] * width + np.arange(width)).ravel()
-            rank += gf_rank(field, X[np.ix_(members, block_cols)])
+            comp_rank = gf_rank(field, X[np.ix_(members, block_cols)])
+        rank += comp_rank
     return rank
+
+
+def _monomial(elem: SpaceElement):
+    """(factors, j) of a single-term element c * x^j / D(x) * y^t whose
+    denominator D = prod (x - alpha)^r is a polynomial, else None."""
+    if len(elem.terms) != 1:
+        return None
+    bf = elem.terms[0][1]
+    if any(r < 0 for _, r in bf.factors):
+        return None
+    return bf.factors, bf.xpow
+
+
+def _monomial_rank(field: FieldSpec, shapes, T: int) -> int | None:
+    """Rank of the rows x^j / D(x), given as (factors of D, j), at T distinct
+    x-values where no D vanishes; None unless there are at most two
+    denominators, each with exponents 0..d, and the degree guard holds.
+
+    eval_matrix raises PoleAtEvaluationPlace when an x-value is a root of a
+    denominator, so multiplying each column by the lcm L of the denominators
+    at its x-value keeps the rank.  One denominator: the block is a
+    Vandermonde matrix times the invertible diagonal 1/D(x_j), of rank
+    min(d + 1, T).  Two: with c = L/D_1 and e = L/D_2 the rows become the
+    values of x^j c (j <= d_1) and x^j e (j <= d_2), polynomials of degree
+    at most N = max(d_1 + deg c, d_2 + deg e).  When N < T, evaluation at
+    the T x-values is injective on them, and with side 1 the one reaching N
+    the multiples of c of degree <= N are exactly the span of the x^j c;
+    so the rank is d_1 + 1 plus the rank of the x^j e modulo c.
+    """
+    groups = {}
+    for factors, j in shapes:
+        groups.setdefault(factors, set()).add(j)
+    if len(groups) > 2 or any(exps != set(range(len(exps)))
+                              for exps in groups.values()):
+        return None
+    if len(groups) == 1:
+        (exps,) = groups.values()
+        return min(len(exps), T)
+    (D1, d1), (D2, d2) = [(_denominator(field, factors), len(exps) - 1)
+                          for factors, exps in groups.items()]
+    g = D1.gcd(D2)
+    c, e = D2 // g, D1 // g
+    if d1 + c.degree < d2 + e.degree:
+        (d1, c), (d2, e) = (d2, e), (d1, c)
+    if d1 + c.degree >= T:
+        return None
+    x = Poly.x(field)
+    rem = e % c
+    R = np.zeros((d2 + 1, c.degree), dtype=np.int64)
+    for j in range(d2 + 1):
+        R[j, :len(rem.coeffs)] = rem.coeffs
+        rem = (x * rem) % c
+    return d1 + 1 + gf_rank(field, R)
+
+
+def _denominator(field: FieldSpec, factors) -> Poly:
+    D = Poly.one(field)
+    for alpha, r in factors:
+        D = D * Poly.linear(field, alpha) ** r
+    return D
 
 
 def gf_rank(field: FieldSpec, matrix: np.ndarray) -> int:
@@ -440,7 +522,7 @@ def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCod
             f"basis size {len(basis)} != deg - g + 1 = {k}")
     # the generator matrix has the rank of its weight-coordinate matrix
     xpart = eval_matrix(curve, basis, places)
-    if x_part_rank(curve.field, xpart, n // curve.m) != k:
+    if x_part_rank(curve.field, xpart, n // curve.m, basis) != k:
         raise DimensionMismatch("generator matrix rank below ell(G)")
     return LinearCode(curve.field, n, k, G, n - deg, basis, places, xpart)
 
@@ -457,7 +539,7 @@ def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
         return False
     stacked = np.vstack([C.xpart, E.xpart])
     width = len({p.a for p in C.places})
-    return x_part_rank(C.field, stacked, width) == C.n
+    return x_part_rank(C.field, stacked, width, C.basis + E.basis) == C.n
 
 
 def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:

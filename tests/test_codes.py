@@ -20,7 +20,9 @@ from kummerlcp import (
     min_distance_exact,
     rr_basis,
 )
+from kummerlcp import codes
 from kummerlcp.codes import (
+    BasisFunction,
     SpaceElement,
     basis_valuation,
     divisor_shape,
@@ -265,19 +267,18 @@ def test_build_code_needs_whole_fibers(toy9):
             eval_matrix(toy9, basis, bad)
 
 
-def scalar_gen(code):
+def scalar_gen(F, basis, places):
     """Oracle generator matrix: each basis element at each place (a, y),
     by scalar field arithmetic."""
-    F = code.field
     rows = []
-    for elem in code.basis:
+    for elem in basis:
         row = []
-        for p in code.places:
+        for p in places:
             total = 0
             for coeff, bf in elem.terms:
                 v = F.mul(coeff, F.mul(F.pow(p.a, bf.xpow), F.pow(p.y, bf.t)))
                 for alpha, r in bf.factors:
-                    v = F.mul(v, F.pow(F.inv(F.sub(p.a, alpha)), r))
+                    v = F.mul(v, F.pow(F.sub(p.a, alpha), -r))
                 total = F.add(total, v)
             row.append(total)
         rows.append(row)
@@ -290,7 +291,7 @@ def test_gen_matches_scalar_oracle(toy9, f49, f169):
         pair = lcp_build_regime(curve, "lambda_two", s=2)
         codes += [pair.C, pair.E]
     for code in codes:
-        want = scalar_gen(code)
+        want = scalar_gen(code.field, code.basis, code.places)
         assert code.gen().tolist() == want
         assert code.to_json()["rows"] == want
 
@@ -431,25 +432,62 @@ def test_x_part_rank_coupling_rows(f169):
     weights = X.reshape(len(X), m, T).any(axis=2).sum(axis=1)
     coupling = np.flatnonzero(weights > 1)
     assert len(coupling) == 2  # the delta = 1 functional's rows
+    basis = pair.C.basis + pair.E.basis
+    assert all(len(basis[i].terms) > 1 for i in coupling)
     for code in (pair.C, pair.E):
         assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen()) == code.k
+        assert x_part_rank(F, code.xpart, T, code.basis) == code.k
     assert x_part_rank(F, X, T) == gf_rank(F, gen) == 224
+    assert x_part_rank(F, X, T, basis) == 224
     # rank-deficient stacks: a repeated coupling row or basis row adds
     # nothing, and one code's rows twice have the rank of that code
     for extra in (coupling[:1], coupling, [0]):
         assert x_part_rank(F, np.vstack([X, X[extra]]), T) \
             == gf_rank(F, np.vstack([gen, gen[extra]])) == 224
+        rows = list(range(len(X))) + list(extra)
+        assert x_part_rank(F, X[rows], T, [basis[i] for i in rows]) == 224
     C = pair.C
     assert x_part_rank(F, np.vstack([C.xpart, C.xpart]), T) \
         == gf_rank(F, np.vstack([C.gen(), C.gen()])) == C.k
+    assert x_part_rank(F, np.vstack([C.xpart, C.xpart]), T, C.basis + C.basis) \
+        == C.k
     assert not lcp_verify(C, C)
+
+
+@pytest.mark.parametrize("name", ["toy9", "f49", "f169", "dickson_m8"])
+def test_x_part_rank_deficient_stacks_through_bases(name, request):
+    """One code's basis stacked on itself, and a pair missing one E row, ranked
+    with their bases against dense rank of the generator rows."""
+    curve = request.getfixturevalue(name)
+    F = curve.field
+    T = len(completely_split_values(curve))
+    if name == "toy9":
+        pair = lcp_build_general(curve, coeffs_all_ones(2, 5), [0],
+                                 completely_split_values(curve), 2)
+    else:
+        pair = lcp_build_regime(
+            curve, "half_single" if name == "dickson_m8" else "lambda_two", s=1)
+    C, E = pair.C, pair.E
+    for code in (C, E):
+        assert x_part_rank(F, np.vstack([code.xpart, code.xpart]), T,
+                           code.basis + code.basis) \
+            == gf_rank(F, np.vstack([code.gen(), code.gen()])) == code.k
+    X, gen = stacked_pair(pair)
+    basis = C.basis + E.basis
+    # the first, a middle and the last row of E: the last leaves its weight
+    # with exponents 0..d - 1, the middle one leaves a gap
+    for drop in sorted({C.k, C.k + E.k // 2, C.n - 1}):
+        keep = [i for i in range(C.n) if i != drop]
+        assert x_part_rank(F, X[keep], T, [basis[i] for i in keep]) \
+            == gf_rank(F, gen[keep]) == C.n - 1
 
 
 def fiber_rank_property(curve, A, phi, min_values, data):
     """For a pair on a drawn subset of split values: the x-part rank of each
-    code, of the stack, and of drawn row selections (repeats allowed) with
-    drawn row combinations appended equals the dense rank of the matching
-    generator rows."""
+    code, of the stack, of a code over the other code of another pair, and of
+    drawn row selections (repeats allowed) with drawn row combinations
+    appended equals the dense rank of the matching generator rows, both from
+    the matrix alone and with the rows' basis elements."""
     F = curve.field
     split = completely_split_values(curve)
     values = data.draw(st.lists(st.sampled_from(split), min_size=min_values,
@@ -460,18 +498,34 @@ def fiber_rank_property(curve, A, phi, min_values, data):
     T = len(values)
     for code in (pair.C, pair.E):
         assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen()) == code.k
+        assert x_part_rank(F, code.xpart, T, code.basis) == code.k
     X, gen = stacked_pair(pair)
+    basis = pair.C.basis + pair.E.basis
     assert x_part_rank(F, X, T) == gf_rank(F, gen) == pair.C.n
+    assert x_part_rank(F, X, T, basis) == pair.C.n
     assert pair.verified
+    # C over the E of another admissible s: its denominators may divide
+    # (deg c = 0) and its degree may reach T (elimination)
+    other = lcp_build_general(curve, A, phi, values,
+                              data.draw(st.integers(first, last), label="s2"))
+    for top, bottom in ((pair.C, other.E), (other.C, pair.E)):
+        assert x_part_rank(F, np.vstack([top.xpart, bottom.xpart]), T,
+                           top.basis + bottom.basis) \
+            == gf_rank(F, np.vstack([top.gen(), bottom.gen()]))
     row = st.integers(0, len(X) - 1)
     rows = data.draw(st.lists(row, min_size=1, max_size=len(X)), label="rows")
     combos = data.draw(st.lists(st.tuples(row, row, st.integers(1, F.q - 1)),
                                 max_size=3), label="combos")
     sub_X, sub_gen = [X[rows]], [gen[rows]]
+    sub_basis = [basis[i] for i in rows]
     for i, j, c in combos:  # row i + c * row j, crossing weights in general
         sub_X.append(F.add_arr(X[i], F.mul_arr(X[j], c))[None, :])
         sub_gen.append(F.add_arr(gen[i], F.mul_arr(gen[j], c))[None, :])
+        sub_basis.append(SpaceElement(basis[i].terms + tuple(
+            (F.mul(c, a), bf) for a, bf in basis[j].terms)))
     assert x_part_rank(F, np.vstack(sub_X), T) == gf_rank(F, np.vstack(sub_gen))
+    assert x_part_rank(F, np.vstack(sub_X), T, sub_basis) \
+        == gf_rank(F, np.vstack(sub_gen))
 
 
 PROPERTY_SETTINGS = dict(deadline=None, derandomize=True)
@@ -493,3 +547,114 @@ def test_fiber_rank_equals_dense_rank_f49(f49, data):
 @given(data=st.data())
 def test_fiber_rank_equals_dense_rank_f169(f169, data):
     fiber_rank_property(f169, *QUARTIC_PAIR, 6, data)
+
+
+def monomial_rows(t, factors, exponents):
+    return [SpaceElement.single(BasisFunction(t, j, factors)) for j in exponents]
+
+
+def monomial_rank_property(curve, data):
+    """Rows x^j / D(x) * y^t with one or two drawn denominators over the
+    branch points, drawn exponent ranges (some past T), repeats and drops:
+    the rank with the basis equals the dense rank of the generator rows."""
+    F = curve.field
+    values = data.draw(st.lists(st.sampled_from(completely_split_values(curve)),
+                                min_size=1, max_size=6, unique=True),
+                       label="values")
+    T = len(values)
+    places = split_place_list(curve, values)
+    factors = st.lists(st.tuples(st.sampled_from(curve.alphas), st.integers(1, 3)),
+                       max_size=3, unique_by=lambda f: f[0]).map(tuple)
+    basis = []
+    for _ in range(data.draw(st.integers(1, 2), label="denominators")):
+        basis += monomial_rows(data.draw(st.integers(0, 1), label="t"),
+                               data.draw(factors, label="factors"),
+                               range(data.draw(st.integers(0, T + 2), label="d") + 1))
+    drops = data.draw(st.sets(st.sampled_from(range(len(basis))), max_size=2),
+                      label="drops")
+    repeats = data.draw(st.lists(st.sampled_from(range(len(basis))), max_size=2),
+                        label="repeats")
+    basis = [e for i, e in enumerate(basis) if i not in drops] + \
+        [basis[i] for i in repeats]
+    if not basis:
+        return
+    X = eval_matrix(curve, basis, places)
+    assert x_part_rank(F, X, T, basis) \
+        == gf_rank(F, scalar_gen(F, basis, places)) == x_part_rank(F, X, T)
+
+
+@settings(max_examples=60, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_monomial_rank_equals_dense_rank_toy9(toy9, data):
+    monomial_rank_property(toy9, data)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_monomial_rank_equals_dense_rank_f49(f49, data):
+    monomial_rank_property(f49, data)
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The shapes of the matrices codes.gf_rank is called on."""
+    shapes = []
+
+    def spy(field, matrix):
+        shapes.append(np.shape(matrix))
+        return gf_rank(field, matrix)
+
+    monkeypatch.setattr(codes, "gf_rank", spy)
+    return shapes
+
+
+def test_monomial_rank_branches(f49, rank_calls):
+    # T = 4 split values of f49; denominators over its first two branch points
+    F = f49.field
+    values = completely_split_values(f49)[:4]
+    places = split_place_list(f49, values)
+    a, b = f49.alphas[:2]
+    cases = [
+        # one denominator, d + 1 = 6 > T: the Vandermonde rank min(d + 1, T)
+        (monomial_rows(0, ((a, 2),), range(6)), 4, []),
+        # gcd(D_1, D_2) = x - a, and c = D_2 / gcd = x - a on the side reaching N
+        (monomial_rows(0, ((a, 1), (b, 1)), range(2))
+         + monomial_rows(0, ((a, 2),), range(1)), 3, [(1, 1)]),
+        # D_2 | D_1 and side 1 reaches N: c = 1, nothing left to eliminate
+        (monomial_rows(0, ((a, 1), (b, 1)), range(3))
+         + monomial_rows(0, ((a, 1),), range(1)), 3, [(1, 0)]),
+        # coprime, N = 3 + 1 >= T: falls back to the whole block (the
+        # polynomial span has dimension 5 > T)
+        (monomial_rows(0, ((a, 1),), range(4)) + monomial_rows(0, ((b, 1),), range(4)),
+         4, [(8, 4)]),
+        # two terms in a row, or a third denominator: elimination
+        ([SpaceElement(((1, BasisFunction(0, 0, ())), (1, BasisFunction(0, 1, ()))))],
+         1, [(1, 4)]),
+        (monomial_rows(0, (), range(1)) + monomial_rows(0, ((a, 1),), range(1))
+         + monomial_rows(0, ((b, 1),), range(1)), 3, [(3, 4)]),
+        # a factor with r < 0 is a numerator, here zero at an x-value
+        (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 4)]),
+    ]
+    for basis, want, calls in cases:
+        rank_calls.clear()
+        X = eval_matrix(f49, basis, places)
+        assert x_part_rank(F, X, 4, basis) == gf_rank(F, scalar_gen(F, basis, places)) \
+            == want
+        assert rank_calls == calls
+
+
+def test_dickson103_n400_eliminates_remainders_only(dickson103, rank_calls):
+    # every weight of each code is one Vandermonde block; the stack leaves
+    # a 3 x 3 remainder matrix per weight, never a 47 x 50 or 50 x 50 block
+    values = completely_split_values(dickson103)[:50]
+    pair = lcp_build_regime(dickson103, "half_single", split_values=values)
+    assert (pair.C.n, pair.C.k, pair.E.k) == (400, 376, 24) and pair.verified
+    assert rank_calls == [(3, 3)] * 8
+    assert sum(r * c for r, c in rank_calls) == 72
+
+
+def test_dickson103_pair_n2400(dickson103):
+    values = completely_split_values(dickson103)[:300]
+    pair = lcp_build_regime(dickson103, "half_single", split_values=values)
+    assert (pair.C.n, pair.C.k, pair.E.k) == (2400, 2376, 24)
+    assert pair.verified and pair.gcd_identity and pair.lmd_identity
