@@ -33,6 +33,11 @@ the delta = 1 functional, multi-term rows, exponents with gaps and stacks
 whose degree reaches T.  Dense gf_rank of a whole generator matrix is the
 test oracle, not a production path.  A code stores R only;
 LinearCode.gen() multiplies the generator matrix out on demand.
+
+eval_matrix builds R in a batch: one vector of denominator values per
+distinct factor set, then every term at once through FieldSpec.pow_arr with
+an array of exponents and two mul_arr calls, so its field kernel calls grow
+with the number of denominators, not of basis terms.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from .errors import (
     DimensionMismatch,
     FormulaMismatch,
     LengthMismatch,
+    NotAnElement,
     NotNonSpecial,
     NotWholeFibers,
     PoleAtEvaluationPlace,
@@ -288,10 +294,13 @@ def split_place_list(curve: KummerCurve, a_values) -> list[Place]:
 def fiber_values(curve: KummerCurve, places: list[Place]) -> list[int]:
     """The sorted x-values of places that are whole fibers: m split places
     with distinct y-values above each of distinct x-values."""
+    q = curve._require_field().q
     fibers = {}
     for p in places:
         if p.kind != "split":
             raise NotWholeFibers(f"{p} is not a split place")
+        if not (0 <= p.a < q and 0 <= p.y < q):
+            raise NotAnElement(f"{p} has a coordinate outside [0, {q})")
         fibers.setdefault(p.a, []).append(p.y)
     for a, ys in fibers.items():
         if len(ys) != curve.m or len(set(ys)) != curve.m:
@@ -309,28 +318,49 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     of c * b(xs[j]) over the terms c * b(x) * y^t of basis[i].  At the place
     (xs[j], y) the element takes the value sum_t [i, t * T + j] * y^t, so
     this k x mT matrix has the generator matrix's shape and rank.
+
+    All terms are evaluated together: one pow_arr of xs to every term's
+    exponent, one mul_arr by every term's denominator vector (one vector per
+    distinct factor set) and one by every coefficient.  Terms that share a
+    (row, weight) cell are summed by add_arr, one call per term beyond the
+    first in the fullest cell, so the field kernel calls grow with the
+    number of denominators, not of terms.
     """
     F = curve.field
     xs = np.asarray(fiber_values(curve, places), dtype=np.int64)
-    T = len(xs)
-    out = np.zeros((len(basis), curve.m * T), dtype=np.int64)
-    denominators = {}  # factors -> prod (x - alpha)^(-r) at xs
-    for i, elem in enumerate(basis):
-        for coeff, bf in elem.terms:
-            if bf.factors not in denominators:
-                den = np.ones(T, dtype=np.int64)
-                for alpha, r in bf.factors:
-                    base = F.sub_arr(xs, alpha)
-                    if r > 0 and (base == 0).any():
-                        raise PoleAtEvaluationPlace(
-                            f"pole at x = {alpha} among evaluation places")
-                    den = F.mul_arr(den, F.pow_arr(base, -r))
-                denominators[bf.factors] = den
-            vals = F.mul_arr(F.pow_arr(xs, bf.xpow), denominators[bf.factors])
-            if coeff != 1:
-                vals = F.mul_arr(vals, coeff)
-            cols = slice(bf.t * T, (bf.t + 1) * T)
-            out[i, cols] = F.add_arr(out[i, cols], vals)
+    T, m = len(xs), curve.m
+    out = np.zeros((len(basis), m * T), dtype=np.int64)
+    terms = [(i, bf.t, bf.xpow, coeff, bf.factors)
+             for i, elem in enumerate(basis) for coeff, bf in elem.terms]
+    if not terms:
+        return out
+    row, t, xpow, coeff, factors = zip(*terms)
+    if not set(t) <= set(range(m)):
+        raise UnsupportedShape(f"basis weights {sorted(set(t))} leave [0, {m})")
+    den_index = {f: k for k, f in enumerate(dict.fromkeys(factors))}
+    dens = np.ones((len(den_index), T), dtype=np.int64)
+    for f, k in den_index.items():  # prod (x - alpha)^(-r) at xs
+        for alpha, r in f:
+            base = F.sub_arr(xs, alpha)
+            if r > 0 and (base == 0).any():
+                raise PoleAtEvaluationPlace(
+                    f"pole at x = {alpha} among evaluation places")
+            dens[k] = F.mul_arr(dens[k], F.pow_arr(base, -r))
+    vals = F.pow_arr(xs[None, :], np.array(xpow)[:, None])
+    vals = F.mul_arr(vals, dens[[den_index[f] for f in factors]])
+    vals = F.mul_arr(vals, np.array(coeff)[:, None])
+    # a (row, weight) cell may hold several terms: fancy assignment keeps
+    # one write per repeated index and np.add.at adds integers, not field
+    # elements, so pass r adds the r-th term of every cell by add_arr
+    cells = out.reshape(len(basis) * m, T)  # cells[i * m + t]: weight t of row i
+    cell = np.array(row) * m + np.array(t)
+    order = np.argsort(cell, kind="stable")
+    cell, vals = cell[order], vals[order]
+    rank = np.arange(len(cell)) - np.searchsorted(cell, cell)
+    cells[cell[rank == 0]] = vals[rank == 0]
+    for r in range(1, rank.max() + 1):
+        here = cell[rank == r]
+        cells[here] = F.add_arr(cells[here], vals[rank == r])
     return out
 
 

@@ -221,6 +221,8 @@ class KummerCurve:
                 raise InvalidPlace(f"invalid infinite place {place}")
         elif place.kind == "split":
             F = self._require_field()
+            if not (0 <= place.a < F.q and 0 <= place.y < F.q):
+                raise NotAnElement(f"{place} has a coordinate outside [0, {F.q})")
             if self.alphas and place.a in self.alphas:
                 raise InvalidPlace(f"{place} sits over a branch point")
             if F.pow(place.y, self.m) != self.f_eval(place.a) or place.y == 0:
@@ -538,6 +540,8 @@ def splitting_type(curve: KummerCurve, a) -> SplittingInfo:
     """Decomposition of the place x = a in the extension."""
     F = curve._require_kummer_rational()
     a_enc = int(a)
+    if not 0 <= a_enc < F.q:
+        raise NotAnElement(f"x = {a_enc} lies outside [0, {F.q})")
     if curve.alphas and a_enc in curve.alphas:
         i = curve.alphas.index(a_enc)
         return SplittingInfo("branch", curve.branch_places(i))

@@ -283,15 +283,16 @@ class FieldSpec:
             out[mask] = self._exp[(la + lb) % (self.q - 1)]
         return out
 
-    def pow_arr(self, a, e: int):
-        a = np.asarray(a, dtype=np.int64)
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = a != 0
-        out[mask] = self._exp[(self._log[a[mask]] * e) % (self.q - 1)]
-        if e == 0:
-            out[~mask] = 1
-        elif e < 0 and (~mask).any():
+    def pow_arr(self, a, e):
+        """a ** e elementwise, for an integer e or an integer array that
+        broadcasts against a; 0 ** 0 = 1, as in pow."""
+        a, e = np.broadcast_arrays(np.asarray(a, dtype=np.int64),
+                                   np.asarray(e, dtype=np.int64))
+        zero = a == 0
+        if (e[zero] < 0).any():
             raise ZeroDivisionError("negative power of zero")
+        out = self._exp[(self._log[a] * e) % (self.q - 1)]
+        out[zero] = e[zero] == 0
         return out
 
     # -- misc --

@@ -130,6 +130,15 @@ def test_domain_error_exit_code(capsys):
         assert code == 1, how
         assert "NotWholeFibers" in err and "[2]" in err
         assert "Traceback" not in err
+    # split x-values outside [0, 169): -167 and 171 would evaluate as x = 2
+    rest = "6,7,11,13,19,20,53,64,67,70,73"
+    for split in ("-167," + rest, "2,-167," + rest.split(",", 1)[1],
+                  "171," + rest, "2,169," + rest.split(",", 1)[1]):
+        code, _, err = run(capsys, "lcp", "build", "--catalog", "f169",
+                           "--regime", "lambda_two", "--s", "2",
+                           f"--split={split}")
+        assert code == 1, split
+        assert "NotAnElement" in err and "Traceback" not in err
     # encodings outside GF(7): the leading coefficient, then a branch point
     inline = ["census", "--field", "7,1", "--m", "2", "--lambdas", "1,1"]
     for extra in (["--alphas", "0,1", "--a", "99"], ["--alphas", "0,99"]):

@@ -34,8 +34,10 @@ from kummerlcp.curve import Place, ell_invariant, x_pole_divisor
 from kummerlcp.errors import (
     DegreeOutOfRange,
     LengthMismatch,
+    NotAnElement,
     NotNonSpecial,
     NotWholeFibers,
+    PoleAtEvaluationPlace,
     RampPreconditionViolated,
     RegimeViolation,
     SRangeEmpty,
@@ -44,10 +46,22 @@ from kummerlcp.errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
+from kummerlcp.ffield import FieldSpec
 
 
 #: (non-special tuple A, Phi) of the pair on y^8 = x^2 (x^4 + 1), f49 and f169
 QUARTIC_PAIR = (InvariantTuple(0, (0, 2, 3, 6, 1)), [0, 1, 2, 3])
+
+PROPERTY_SETTINGS = dict(deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def zero_split():
+    # y^4 = (x - 1)(x - 2)(x - 5)^2 over GF(25): x = 0 splits completely,
+    # which no catalog curve has (0 is a branch point of each)
+    curve = make_curve(make_field(5, 2), 4, [(1, 1), (2, 1), (5, 2)])
+    assert completely_split_values(curve)[0] == 0
+    return curve
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +225,10 @@ def test_split_place_list_rejects_bad_values(f169):
         lcp_build_general(f169, *QUARTIC_PAIR, repeated, 2)
     with pytest.raises(NotWholeFibers, match=rf"repeated: \[{values[0]}\]"):
         lcp_build_regime(f169, "lambda_two", split_values=repeated, s=2)
+    # encodings outside [0, q) would alias split values in the log tables
+    for bad in ([2 - f169.field.q], [2 + f169.field.q], [2, 2 - f169.field.q]):
+        with pytest.raises(NotAnElement):
+            split_place_list(f169, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +283,15 @@ def test_build_code_needs_whole_fibers(toy9):
             build_code(toy9, G, bad)
         with pytest.raises(NotWholeFibers):  # the evaluator checks on its own
             eval_matrix(toy9, basis, bad)
+    # a whole fiber whose x- or y-values lie outside [0, q)
+    q = toy9.field.q
+    for shift in ({"a": q}, {"a": -q}, {"y": q}):
+        bad = [Place("split", a=p.a + shift.get("a", 0), y=p.y + shift.get("y", 0))
+               if p.a == places[0].a else p for p in places]
+        with pytest.raises(NotAnElement):
+            build_code(toy9, G, bad)
+        with pytest.raises(NotAnElement):
+            eval_matrix(toy9, basis, bad)
 
 
 def scalar_gen(F, basis, places):
@@ -294,6 +321,107 @@ def test_gen_matches_scalar_oracle(toy9, f49, f169):
         want = scalar_gen(code.field, code.basis, code.places)
         assert code.gen().tolist() == want
         assert code.to_json()["rows"] == want
+
+
+def expand_x_part(F, X, places):
+    """The generator rows of an x-part matrix: at the place (a, y), the sum
+    over t of its weight-t entry at a times y^t, by scalar arithmetic."""
+    xs = sorted({p.a for p in places})
+    T = len(xs)
+    rows = []
+    for x_row in X.tolist():
+        row = []
+        for p in places:
+            total = 0
+            for t in range(len(x_row) // T):
+                total = F.add(total, F.mul(x_row[t * T + xs.index(p.a)],
+                                           F.pow(p.y, t)))
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+def eval_oracle_property(curve, data, always=()):
+    """eval_matrix of a drawn basis, expanded through y^t, equals scalar_gen.
+
+    Elements have up to four terms with coefficients that may be 0, so two
+    terms often share a (row, weight) cell; factors are denominators away
+    from the drawn x-values or numerators (r <= 0) anywhere, 0 included."""
+    F = curve.field
+    split = completely_split_values(curve)
+    values = data.draw(st.lists(st.sampled_from(split), max_size=5, unique=True),
+                       label="values")
+    values = sorted(set(values) | set(always)) or split[:1]
+    places = split_place_list(curve, values)
+    poles = [a for a in range(F.q) if a not in values]
+    factor = st.one_of(st.tuples(st.sampled_from(poles), st.integers(1, 3)),
+                       st.tuples(st.integers(0, F.q - 1), st.integers(-3, 0)))
+    function = st.builds(BasisFunction, st.integers(0, curve.m - 1),
+                         st.integers(0, 4), st.lists(factor, max_size=3).map(tuple))
+    coeff = st.sampled_from([0, 1]) | st.integers(0, F.q - 1)
+    element = st.lists(st.tuples(coeff, function), min_size=1, max_size=4)
+    basis = [SpaceElement(tuple(terms)) for terms in
+             data.draw(st.lists(element, max_size=6), label="basis")]
+    X = eval_matrix(curve, basis, places)
+    assert X.shape == (len(basis), curve.m * len(values))
+    assert expand_x_part(F, X, places) == scalar_gen(F, basis, places)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_eval_matrix_matches_scalar_oracle_toy9(toy9, data):
+    eval_oracle_property(toy9, data)
+
+
+@settings(max_examples=25, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_eval_matrix_matches_scalar_oracle_f49(f49, data):
+    eval_oracle_property(f49, data)
+
+
+@settings(max_examples=15, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_eval_matrix_matches_scalar_oracle_f169(f169, data):
+    eval_oracle_property(f169, data)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_eval_matrix_matches_scalar_oracle_zero_split(zero_split, data):
+    # x = 0 among the x-values: 0^0 = 1 for xpow = 0 and for r = 0
+    eval_oracle_property(zero_split, data, always=(0,))
+
+
+def test_eval_matrix_rejects_poles_and_bad_weights(f49):
+    values = completely_split_values(f49)[:3]
+    places = split_place_list(f49, values)
+    a, b = values[1], f49.alphas[0]
+    shared = ((b, 1), (a, 1))
+    rows = [SpaceElement.single(BasisFunction(1, j, shared)) for j in range(3)]
+    cases = [
+        [SpaceElement.single(BasisFunction(0, 0, ((a, 1),)))],
+        rows,
+        # the pole in the second term of a row, its denominator shared
+        [SpaceElement(((1, BasisFunction(0, 1, ())), (3, BasisFunction(1, 0, shared)))),
+         *rows],
+        # a two-denominator stack, as ranked by _monomial_rank
+        [SpaceElement.single(BasisFunction(1, j, ((b, 2),))) for j in range(3)] + rows,
+    ]
+    for basis in cases:
+        with pytest.raises(PoleAtEvaluationPlace, match=f"x = {a}"):
+            eval_matrix(f49, basis, places)
+    # a pole-free denominator and a numerator at a evaluate
+    eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ((b, 1), (a, -1))))],
+                places)
+    # a weight outside [0, m) has no column block
+    for t in (-1, f49.m):
+        with pytest.raises(UnsupportedShape, match="weights"):
+            eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ())),
+                              SpaceElement.single(BasisFunction(t, 0, ()))], places)
+    # the stacked bases of a pair with one such row
+    pair = lcp_build_regime(f49, "lambda_two", s=2)
+    with pytest.raises(PoleAtEvaluationPlace):
+        eval_matrix(f49, pair.C.basis + pair.E.basis + cases[0], pair.C.places)
 
 
 def test_min_distance_toy_codes(toy9):
@@ -528,9 +656,6 @@ def fiber_rank_property(curve, A, phi, min_values, data):
         == gf_rank(F, np.vstack(sub_gen))
 
 
-PROPERTY_SETTINGS = dict(deadline=None, derandomize=True)
-
-
 @settings(max_examples=25, **PROPERTY_SETTINGS)
 @given(data=st.data())
 def test_fiber_rank_equals_dense_rank_toy9(toy9, data):
@@ -651,6 +776,44 @@ def test_dickson103_n400_eliminates_remainders_only(dickson103, rank_calls):
     assert (pair.C.n, pair.C.k, pair.E.k) == (400, 376, 24) and pair.verified
     assert rank_calls == [(3, 3)] * 8
     assert sum(r * c for r, c in rank_calls) == 72
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """How often each FieldSpec.*_arr kernel is called, nested calls included."""
+    calls = {}
+
+    def spy(name, kernel):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+        return counted
+
+    for name in ("add_arr", "sub_arr", "neg_arr", "mul_arr", "pow_arr"):
+        monkeypatch.setattr(FieldSpec, name, spy(name, getattr(FieldSpec, name)))
+    return calls
+
+
+def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls):
+    # the C basis: 376 single-term rows over 7 factor sets; the same basis
+    # cut to the first row of each factor set makes the same kernel calls
+    values = completely_split_values(dickson103)[:50]
+    pair = lcp_build_regime(dickson103, "half_single", split_values=values)
+    basis, places = pair.C.basis, pair.C.places
+    seen, cut = set(), []
+    for elem in basis:
+        factors = {bf.factors for _, bf in elem.terms}
+        if not factors <= seen:
+            cut.append(elem)
+            seen |= factors
+    assert (len(basis), len(cut)) == (376, 7)
+    counts = []
+    for rows in (basis, cut):
+        kernel_calls.clear()
+        eval_matrix(dickson103, rows, places)
+        counts.append(dict(kernel_calls))
+    assert counts[0] == counts[1]
+    assert sum(counts[0].values()) < len(cut) * 20
 
 
 def test_dickson103_pair_n2400(dickson103):

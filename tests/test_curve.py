@@ -394,6 +394,24 @@ def test_splitting_types(f49):
     assert splitting_type(f49, non_split).kind == "inert-or-partial"
 
 
+def test_out_of_range_x_values_rejected(f169):
+    # -167 and 171 would read as x = 2, a split value, in the log tables
+    q = f169.field.q
+    split = completely_split_values(f169)[0]
+    y = splitting_type(f169, split).places[0].y
+    for a in (split - q, split + q, -1, q):
+        with pytest.raises(NotAnElement):
+            splitting_type(f169, a)
+        with pytest.raises(NotAnElement):
+            principal_divisor(f169, {a: 1})
+        with pytest.raises(NotAnElement):
+            f169.validate_place(Place("split", a=a, y=y))
+    for bad_y in (y - q, y + q):
+        with pytest.raises(NotAnElement):
+            f169.validate_place(Place("split", a=split, y=bad_y))
+    f169.validate_place(Place("split", a=split, y=y))
+
+
 def test_splitting_requires_kummer_rational(gf9):
     c = make_curve(gf9, 5, [(0, 1), (1, 2)])  # 5 does not divide 8
     with pytest.raises(RationalityError):

@@ -134,6 +134,29 @@ def test_vectorized_ops_match_scalar(field):
     assert all(int(v) == F.pow(int(x), 5) for v, x in zip(F.pow_arr(a, 5), a))
 
 
+def test_pow_arr_array_exponents_match_scalar(field):
+    import numpy as np
+
+    F = field
+    a = np.arange(F.q)
+    e = np.arange(-3, 8)
+    # every element to every exponent, broadcast; 0 only to e >= 0
+    assert F.pow_arr(a[1:, None], e[None, :]).tolist() \
+        == [[F.pow(x, int(k)) for k in e] for x in range(1, F.q)]
+    assert F.pow_arr(a[:, None], e[None, e >= 0]).tolist() \
+        == [[F.pow(x, int(k)) for k in e[e >= 0]] for x in range(F.q)]
+    assert F.pow_arr([0, 0, 1, 0], [0, 1, -2, 0]).tolist() == [1, 0, 1, 1]
+    with pytest.raises(ZeroDivisionError):
+        F.pow_arr([1, 0], [-1, -1])
+    with pytest.raises(ZeroDivisionError):
+        F.pow_arr(a[:, None], e[None, :])
+    # a scalar exponent keeps its meaning, 0^0 = 1 included
+    assert F.pow_arr(a, 0).tolist() == [1] * F.q
+    assert F.pow_arr(a[1:], -1).tolist() == [F.inv(x) for x in range(1, F.q)]
+    with pytest.raises(ZeroDivisionError):
+        F.pow_arr(a, -1)
+
+
 def test_nth_roots_properties(field):
     F = field
     for n in (1, 2, 3, F.q - 1 if F.q > 2 else 1):
