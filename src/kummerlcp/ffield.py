@@ -6,10 +6,12 @@ bijection onto {0, ..., q-1}.  These plain integers are the only field
 values: every operation takes and returns encodings.
 
 Field orders are capped at q <= 2^16 (:data:`MAX_ORDER`); a larger order
-raises :class:`~kummerlcp.errors.FieldTooLarge`.  Every field carries a
-discrete-log table pair, which makes scalar multiplication O(1) and enables
-vectorized numpy operations on whole arrays of encodings (used heavily by
-the linear algebra in the codes module).
+raises :class:`~kummerlcp.errors.FieldTooLarge`.  Every field is built one
+way: the canonical modulus is found by trial division with :class:`Poly`
+over GF(p), and the discrete-log tables come from the modulus' companion
+matrix by doubling.  The tables carry a zero sentinel, so a product, scalar
+or vectorized, is one table lookup.  Addition and negation run one digit
+loop over the k coefficients (a single digit in a prime field).
 """
 
 from __future__ import annotations
@@ -35,21 +37,6 @@ MAX_ORDER = 1 << 16
 NEG_INF = float("-inf")
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     out = []
     f = 2
@@ -64,64 +51,34 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# GF(p)[x] helpers on plain coefficient lists (low-to-high), used only for
-# the canonical-modulus search and modular reduction inside FieldSpec.
-# ---------------------------------------------------------------------------
-
-def _gfp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gfp_rem(a, b, p):
-    """Remainder of a modulo monic b over GF(p)."""
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - db
-            for i, bc in enumerate(b):
-                a[shift + i] = (a[shift + i] - lead * bc) % p
-        _gfp_trim(a)
-        if not a:
-            break
-        if len(a) - 1 < db:
-            break
-    return _gfp_trim(a)
-
-
-def _gfp_monic_polys(p, deg):
-    for enc in range(p ** deg):
-        coeffs = []
-        v = enc
-        for _ in range(deg):
-            coeffs.append(v % p)
-            v //= p
-        yield coeffs + [1]
-
-
-def _gfp_is_irreducible(poly, p):
-    deg = len(poly) - 1
-    if poly[0] == 0:  # divisible by x
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for div in _gfp_monic_polys(p, d):
-            if not _gfp_rem(poly, div, p):
-                return False
-    return True
-
-
 def _canonical_modulus(p, k):
-    """Least monic irreducible of degree k, scanning the constant term up."""
+    """Least monic irreducible of degree k over GF(p), coefficients low to
+    high: candidates are scanned by encoding, the constant term first."""
     if k == 1:
         return (0, 1)
-    for cand in _gfp_monic_polys(p, k):
-        if _gfp_is_irreducible(cand, p):
-            return tuple(cand)
+    Fp = make_field(p, 1)
+
+    def monic(deg):
+        for enc in range(p ** deg):
+            yield Poly(Fp, [enc // p ** i % p for i in range(deg)] + [1])
+
+    # irreducible <=> no monic factor of degree 1..k//2
+    divisors = [d for deg in range(1, k // 2 + 1) for d in monic(deg)]
+    for cand in monic(k):
+        if all(not (cand % d).is_zero() for d in divisors):
+            return cand.coeffs
     raise FormulaMismatch(f"no monic irreducible of degree {k} over GF({p})")
+
+
+def _mat_pow(M, e, p):
+    """M ** e over GF(p), for a square int64 matrix with entries in [0, p)."""
+    out = np.eye(len(M), dtype=np.int64)
+    while e:
+        if e & 1:
+            out = out @ M % p
+        M = M @ M % p
+        e >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,71 +95,81 @@ class FieldSpec:
     def __init__(self, p: int, k: int):
         if k < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {k}")
-        # the cap first: it bounds p ** k and the trial division in is_prime
+        # the cap first: it bounds p ** k and the trial division of p
         # (p >= 2 and k > 16 already give p ** k > 2^16)
         if p > MAX_ORDER or (p > 1 and (k >= MAX_ORDER.bit_length()
                                         or p ** k > MAX_ORDER)):
             raise FieldTooLarge(f"field order {p}^{k} exceeds cap {MAX_ORDER}")
-        if not is_prime(p):
+        if prime_factors(p) != [p]:
             raise NotPrime(f"{p} is not prime")
         q = p ** k
         self.p = p
         self.k = k
         self.q = q
         self.modulus = _canonical_modulus(p, k)
-        self._pows = tuple(p ** i for i in range(k + 1))
+        self._pows = tuple(p ** i for i in range(k))
         self._build_tables()
 
-    # -- encoding helpers --
+    def _build_tables(self):
+        """Log/exp tables from the companion matrix C of the modulus.
 
-    def digits(self, enc: int) -> tuple[int, ...]:
-        p = self.p
-        return tuple((enc // self._pows[i]) % p for i in range(self.k))
+        The element a acts on coefficient vectors as M_a = sum digit_i(a) C^i.
+        Every int64 product below stays under k * p^2 < 2^33.
+        """
+        p, k, q = self.p, self.k, self.q
+        C = np.zeros((k, k), dtype=np.int64)  # multiplication by x
+        C[np.arange(1, k), np.arange(k - 1)] = 1
+        C[:, -1] = -np.array(self.modulus[:k]) % p
+        C_pows = [np.eye(k, dtype=np.int64)]
+        for _ in range(k - 1):
+            C_pows.append(C_pows[-1] @ C % p)
 
-    def from_digits(self, digits) -> int:
-        return sum((int(d) % self.p) * self._pows[i] for i, d in enumerate(digits))
+        def action(a):
+            return sum(a // pw % p * Ci for pw, Ci in zip(self._pows, C_pows)) % p
+
+        factors = prime_factors(q - 1)
+        identity = np.eye(k, dtype=np.int64)
+        gen = next((a for a in range(2, q)
+                    if all((_mat_pow(action(a), (q - 1) // f, p) != identity).any()
+                           for f in factors)),
+                   1)  # q == 2: the group is trivial
+        # rows g^0..g^(L-1) stacked on their images under g^L, L doubling
+        V = identity[:1]
+        step = action(gen)
+        while len(V) < q - 1:
+            V = np.vstack([V, V @ step.T % p])
+            step = step @ step % p
+        exp = V[:q - 1] @ np.array(self._pows)
+        log = np.empty(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        # zero sentinel: log 0 lands any sum with a zero term in the zeros
+        # that follow two periods of powers
+        log[0] = 2 * (q - 1)
+        self.generator = gen
+        self._exp = np.concatenate([exp, exp, np.zeros(2 * (q - 1) + 1, np.int64)])
+        self._log = log
 
     # -- scalar ops on encodings --
 
     def add(self, a: int, b: int) -> int:
         p = self.p
-        if self.k == 1:
-            return (a + b) % p
         out = 0
-        for i in range(self.k):
-            pw = self._pows[i]
+        for pw in self._pows:
             out += (((a // pw) + (b // pw)) % p) * pw
         return out
 
     def neg(self, a: int) -> int:
         p = self.p
-        if self.k == 1:
-            return (-a) % p
         out = 0
-        for i in range(self.k):
-            pw = self._pows[i]
+        for pw in self._pows:
             out += ((-(a // pw)) % p) * pw
         return out
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        da = self.digits(a)
-        db = self.digits(b)
-        p = self.p
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        rem = _gfp_rem(prod, list(self.modulus), p)
-        return self.from_digits(rem)
-
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -216,55 +183,22 @@ class FieldSpec:
             return 1 if e == 0 else 0
         return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
 
-    def _build_tables(self):
-        q = self.q
-
-        def power(a, e):  # square-and-multiply, before the tables exist
-            result = 1
-            while e:
-                if e & 1:
-                    result = self._mul_poly(result, a)
-                a = self._mul_poly(a, a)
-                e >>= 1
-            return result
-
-        factors = prime_factors(q - 1)
-        gen = next((cand for cand in range(2, q)
-                    if all(power(cand, (q - 1) // f) != 1 for f in factors)),
-                   1)  # q == 2: the group is trivial
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        log = np.zeros(q, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._mul_poly(acc, gen)
-        self.generator = gen
-        self._exp = exp
-        self._log = log
-
     # -- vectorized ops on numpy arrays of encodings --
 
     def add_arr(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         p = self.p
-        if self.k == 1:
-            return (a + b) % p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for i in range(self.k):
-            pw = self._pows[i]
+        for pw in self._pows:
             out += (((a // pw) + (b // pw)) % p) * pw
         return out
 
     def neg_arr(self, a):
         a = np.asarray(a, dtype=np.int64)
         p = self.p
-        if self.k == 1:
-            return (-a) % p
         out = np.zeros(a.shape, dtype=np.int64)
-        for i in range(self.k):
-            pw = self._pows[i]
+        for pw in self._pows:
             out += ((-(a // pw)) % p) * pw
         return out
 
@@ -272,16 +206,10 @@ class FieldSpec:
         return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
 
     def mul_arr(self, a, b):
+        # int64 first: a bool array must read as 0/1, not as an index mask
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        a, b = np.broadcast_arrays(a, b)
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = (a != 0) & (b != 0)
-        if mask.any():
-            la = self._log[a[mask]]
-            lb = self._log[b[mask]]
-            out[mask] = self._exp[(la + lb) % (self.q - 1)]
-        return out
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow_arr(self, a, e):
         """a ** e elementwise, for an integer e or an integer array that

@@ -10,12 +10,20 @@ from .codes import lcp_build_regime
 from .curve import KummerCurve, census, completely_split_values, make_curve
 from .errors import (
     CongruenceViolated,
+    FieldTooLarge,
     NotPrime,
     RegimeViolation,
     RootCountMismatch,
     UnknownId,
 )
-from .ffield import FieldSpec, Poly, make_field, poly_analyze
+from .ffield import (
+    MAX_ORDER,
+    FieldSpec,
+    Poly,
+    make_field,
+    poly_analyze,
+    prime_factors,
+)
 from .nonspecial import coeffs_lambda_two, criterion_check, enumerate_nonspecial
 from .curve import InvariantTuple
 
@@ -43,17 +51,17 @@ def dickson(d: int, field: FieldSpec) -> DicksonPoly:
 
 def _field_q_squared(q: int) -> FieldSpec:
     """GF(q^2) for a prime power q."""
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            n = q
-            while n > 1:
-                if n % p:
-                    raise NotPrime(f"{q} is not a prime power")
-                n //= p
-                k += 1
-            return make_field(p, 2 * k)
-    raise NotPrime(f"{q} is not a prime power")
+    # the cap first: it bounds the trial division of q
+    if q * q > MAX_ORDER:
+        raise FieldTooLarge(f"field order {q}^2 exceeds cap {MAX_ORDER}")
+    factors = prime_factors(q)
+    if len(factors) != 1:
+        raise NotPrime(f"{q} is not a prime power")
+    p, k, n = factors[0], 0, q
+    while n > 1:
+        n //= p
+        k += 1
+    return make_field(p, 2 * k)
 
 
 def _simple_roots(f: Poly, expect: int, forbidden) -> list[int]:

@@ -1,13 +1,31 @@
 import math
 import random
 
+import numpy as np
 import pytest
+import sympy
+from hypothesis import Phase, given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
 
 from kummerlcp import make_field, nth_roots, poly_analyze
 from kummerlcp.errors import DegreeZero, FieldTooLarge, NotPrime, ZeroPolynomial
 from kummerlcp.ffield import Poly
 
 FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (7, 2), (13, 2)]
+
+#: table-built fields from GF(2) to the cap: prime fields, GF(p^2) (GF(49),
+#: GF(169) and GF(10609) are the benchmark's fields) and GF(2^k)
+LARGE_FIELDS = [(2, 1), (7, 1), (65521, 1), (7, 2), (13, 2), (103, 2),
+                (2, 3), (2, 8), (2, 16), (3, 5)]
+
+#: the prime powers q <= 256, as (p, k), factored by sympy
+SMALL_FIELDS = [pk for q in range(2, 257) if len(f := sympy.factorint(q)) == 1
+                for pk in f.items()]
+
+#: derandomized; a failing example is reported as drawn, without shrinking
+PROPERTY_SETTINGS = dict(deadline=None, derandomize=True,
+                         phases=(Phase.explicit, Phase.generate))
 
 
 @pytest.fixture(params=FIELDS, ids=lambda pk: f"GF({pk[0] ** pk[1]})")
@@ -119,8 +137,6 @@ def test_element_order_divides_group_order(field):
 
 
 def test_vectorized_ops_match_scalar(field):
-    import numpy as np
-
     F = field
     rng = random.Random(7)
     a = np.array([rng.randrange(F.q) for _ in range(200)], dtype=np.int64)
@@ -135,8 +151,6 @@ def test_vectorized_ops_match_scalar(field):
 
 
 def test_pow_arr_array_exponents_match_scalar(field):
-    import numpy as np
-
     F = field
     a = np.arange(F.q)
     e = np.arange(-3, 8)
@@ -273,3 +287,94 @@ def test_field_serialization_roundtrip(field):
     again = make_field(data["p"], data["k"])
     assert again == field
     assert tuple(data["modulus"]) == field.modulus
+
+
+# ---------------------------------------------------------------------------
+# Properties and an independent oracle on table-built fields
+# ---------------------------------------------------------------------------
+
+def elements(F):
+    # 0 weighted in: it reads the zero sentinel of the log table
+    return st.sampled_from([0, 1, F.q - 1]) | st.integers(0, F.q - 1)
+
+
+@pytest.mark.parametrize("pk", LARGE_FIELDS, ids=lambda pk: f"GF({pk[0] ** pk[1]})")
+@settings(max_examples=30, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_field_axioms_property(pk, data):
+    F = make_field(*pk)
+    a, b, c = (data.draw(elements(F), label=name) for name in "abc")
+    assert F.add(a, b) == F.add(b, a)
+    assert F.mul(a, b) == F.mul(b, a)
+    assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
+    assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    assert F.add(a, 0) == a and F.mul(a, 1) == a and F.mul(a, 0) == 0
+    assert F.add(a, F.neg(a)) == 0 and F.sub(a, b) == F.add(a, F.neg(b))
+    if a:
+        assert F.mul(a, F.inv(a)) == 1
+    e = data.draw(st.integers(0, 2 * F.q), label="e")
+    assert F.pow(a, e + 1) == F.mul(F.pow(a, e), a)
+
+    # the vectorized ops agree with the scalar ops element by element
+    xs = np.array(data.draw(st.lists(elements(F), min_size=1, max_size=20),
+                            label="xs"))
+    ys = np.array(data.draw(st.lists(elements(F), min_size=len(xs),
+                                     max_size=len(xs)), label="ys"))
+    es = np.array(data.draw(st.lists(st.integers(-3, 2 * F.q), min_size=len(xs),
+                                     max_size=len(xs)), label="es"))
+    es = np.where(xs == 0, np.abs(es), es)  # 0 has no negative powers
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    assert F.mul_arr(xs, ys).tolist() == [F.mul(x, y) for x, y in pairs]
+    assert F.add_arr(xs, ys).tolist() == [F.add(x, y) for x, y in pairs]
+    assert F.sub_arr(xs, ys).tolist() == [F.sub(x, y) for x, y in pairs]
+    assert F.pow_arr(xs, es).tolist() \
+        == [F.pow(x, k) for x, k in zip(xs.tolist(), es.tolist())]
+    # a bool array reads as 0/1, not as an index mask
+    assert F.mul_arr(ys > xs, ys).tolist() == [F.mul(int(y > x), y) for x, y in pairs]
+
+
+def _gf_poly(F, enc):
+    """sympy's dense GF(p) polynomial (high to low) of an encoding."""
+    digits = []
+    while enc:
+        enc, d = divmod(enc, F.p)
+        digits.append(d)
+    return digits[::-1]
+
+
+def _gf_enc(F, poly):
+    enc = 0
+    for d in poly:
+        enc = enc * F.p + int(d)
+    return enc
+
+
+@pytest.mark.parametrize("pk", sorted(set(LARGE_FIELDS + SMALL_FIELDS)),
+                         ids=lambda pk: f"GF({pk[0] ** pk[1]})")
+def test_construction_matches_sympy(pk):
+    p, k = pk
+    F = make_field(p, k)
+    q = F.q
+    x = sympy.Symbol("x")
+    # the modulus is the first irreducible in the scan order: monic,
+    # degree k, candidates by encoding (constant term first)
+    modulus = list(F.modulus[::-1])
+    assert modulus[0] == 1 and len(modulus) == k + 1
+    assert sympy.Poly(modulus, x, modulus=p).is_irreducible
+    for enc in range(p ** k, _gf_enc(F, modulus)):
+        assert not sympy.Poly(_gf_poly(F, enc), x, modulus=p).is_irreducible
+    # exp[i + 1] = exp[i] * g mod the modulus, and log inverts exp
+    g = _gf_poly(F, F.generator)
+    exp = F._exp[:q - 1].tolist()
+    steps = range(q - 1) if q <= 256 else random.Random(q).sample(range(q - 1), 2000)
+    for i in steps:
+        step = gf_rem(gf_mul(_gf_poly(F, exp[i]), g, p, ZZ), modulus, p, ZZ)
+        assert _gf_enc(F, step) == exp[(i + 1) % (q - 1)], i
+    assert exp[0] == 1
+    assert F._log[exp].tolist() == list(range(q - 1))
+    # no smaller encoding generates the multiplicative group
+    factors = sympy.factorint(q - 1)
+    for a in range(2, F.generator):
+        assert any(gf_pow_mod(_gf_poly(F, a), (q - 1) // f, modulus, p, ZZ) == [1]
+                   for f in factors), a

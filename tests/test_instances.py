@@ -5,6 +5,7 @@ import pytest
 from kummerlcp import catalog, dickson, make_field, reproduce
 from kummerlcp.errors import (
     CongruenceViolated,
+    FieldTooLarge,
     NotPrime,
     RegimeViolation,
     RootCountMismatch,
@@ -69,6 +70,9 @@ def test_dickson_degree_and_leading_coeff(gf49):
 # Dickson curve families
 # ---------------------------------------------------------------------------
 
+LARGE_PRIME = 10000000279  # prime, = 7 (mod 48)
+
+
 def test_dickson_single_m8_q7(dickson_m8):
     c = dickson_m8
     assert c.m == 8 and c.field.q == 49
@@ -91,6 +95,9 @@ def test_dickson_single_congruence_guard():
         dickson_curve_single(7, 7)  # odd m
     with pytest.raises(RegimeViolation):
         dickson_curve_single(2, 3)  # m too small
+    # q^2 exceeds the field cap: rejected before q is trial-divided
+    with pytest.raises(FieldTooLarge):
+        dickson_curve_single(8, LARGE_PRIME)
 
 
 def test_dickson_double_curve():
@@ -117,6 +124,8 @@ def test_dickson_double_guard():
         dickson_curve_double(5, 11)  # odd m
     with pytest.raises(NotPrime):
         dickson_curve_double(4, 6)  # q = 6 is not a prime power
+    with pytest.raises(FieldTooLarge):
+        dickson_curve_double(4, LARGE_PRIME)
 
 
 # ---------------------------------------------------------------------------

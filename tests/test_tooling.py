@@ -1,8 +1,11 @@
 import ast
+import re
 import sys
+import tomllib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummerlcp"
+ROOT = PACKAGE.parent.parent
 
 
 def _package_nodes(match):
@@ -39,7 +42,7 @@ def test_no_builtin_value_or_assertion_errors_raised_in_package():
 def test_bench_tracer_covers_every_layer():
     # a refactor that drops or renames a traced function must fail here,
     # not only in the benchmark's traced run
-    bench = PACKAGE.parent.parent / "bench"
+    bench = ROOT / "bench"
     sys.path.insert(0, str(bench))
     try:
         import stagetrace
@@ -55,3 +58,34 @@ def test_bench_tracer_covers_every_layer():
         assert wl.check(inputs, 0, out) is None
         assert stagetrace.coverage_gaps(snap, name) == [], name
         assert stagetrace.installed_wrappers() == []
+
+
+def _declared_requirements():
+    """Import names of the dependencies and the test extra in pyproject."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    reqs = project["dependencies"] + project["optional-dependencies"]["test"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower().replace("-", "_")
+            for r in reqs}
+
+
+def test_third_party_imports_are_declared():
+    # every module the tests or the benchmark import must come with Python,
+    # the package, a sibling file or a requirement in pyproject.toml
+    dirs = [ROOT / "tests", ROOT / "bench"]
+    local = {path.stem for d in dirs for path in d.glob("*.py")}
+    known = (set(sys.stdlib_module_names) | local | _declared_requirements()
+             | {"kummerlcp"})
+    undeclared = []
+    for path in sorted(p for d in dirs for p in d.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                           for name in names
+                           if name.split(".")[0] not in known]
+    assert not undeclared, f"imports missing from pyproject.toml: {undeclared}"
