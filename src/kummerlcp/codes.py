@@ -63,6 +63,7 @@ from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     FormulaMismatch,
+    InvalidPlace,
     LengthMismatch,
     NotAnElement,
     NotNonSpecial,
@@ -287,14 +288,16 @@ def split_place_list(curve: KummerCurve, a_values) -> list[Place]:
         info = splitting_type(curve, a)
         if info.kind != "split":
             raise UnsupportedRoot(f"x = {a} is not completely split")
-        places.extend(sorted(info.places, key=Place.sort_key))
+        places.extend(info.places)
     return places
 
 
 def fiber_values(curve: KummerCurve, places: list[Place]) -> list[int]:
     """The sorted x-values of places that are whole fibers: m split places
-    with distinct y-values above each of distinct x-values."""
-    q = curve._require_field().q
+    with distinct y-values above each of distinct x-values, each on the
+    curve (y^m = f(a), which rules out y = 0 and the branch points)."""
+    F = curve._require_field()
+    q = F.q
     fibers = {}
     for p in places:
         if p.kind != "split":
@@ -307,7 +310,14 @@ def fiber_values(curve: KummerCurve, places: list[Place]) -> list[int]:
             raise NotWholeFibers(
                 f"x = {a} carries {len(ys)} places with {len(set(ys))} distinct "
                 f"y-values, not the m = {curve.m} of a whole fiber")
-    return sorted(fibers)
+    xs = sorted(fibers)
+    fx = curve.f_eval_arr(np.array(xs, dtype=np.int64))
+    col = np.searchsorted(xs, [p.a for p in places])
+    y = np.array([p.y for p in places], dtype=np.int64)
+    off = np.flatnonzero(F.pow_arr(y, curve.m) != fx[col])
+    if off.size:
+        raise InvalidPlace(f"{places[off[0]]} does not lie on the curve")
+    return xs
 
 
 def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,16 +43,16 @@ from .errors import (
 )
 from .ffield import FieldSpec, Poly, make_field, nth_roots
 
-_KIND_ORDER = {"branch": 0, "infinity": 1, "split": 2}
 
-
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A symbolic place class of the function field.
 
     kind "branch":   conjugate j above branch point i (0 <= j < d_i)
     kind "infinity": conjugate j above x = infinity   (0 <= j < d_inf)
     kind "split":    rational place (x=a, y=y) with f(a) a nonzero m-th power
+
+    Fields a kind does not use hold -1.  Places order as tuples: by kind
+    ("branch" < "infinity" < "split"), then by i, j, a and y.
     """
 
     kind: str
@@ -60,24 +61,12 @@ class Place:
     a: int = -1
     y: int = -1
 
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.i, self.j, self.a, self.y)
-
     def to_json(self):
-        if self.kind == "branch":
-            return {"kind": "branch", "i": self.i, "j": self.j}
-        if self.kind == "infinity":
-            return {"kind": "infinity", "j": self.j}
-        return {"kind": "split", "a": self.a, "y": self.y}
+        return {k: v for k, v in self._asdict().items() if v != -1}
 
     @staticmethod
     def from_json(obj) -> "Place":
-        kind = obj["kind"]
-        if kind == "branch":
-            return Place("branch", i=obj["i"], j=obj["j"])
-        if kind == "infinity":
-            return Place("infinity", j=obj["j"])
-        return Place("split", a=obj["a"], y=obj["y"])
+        return Place(**obj)
 
 
 @dataclass(frozen=True)
@@ -171,6 +160,14 @@ class KummerCurve:
         for alpha, lam in zip(self.alphas, self.lambdas):
             out = out * (Poly.linear(F, alpha) ** lam)
         return out
+
+    def f_eval_arr(self, xs) -> np.ndarray:
+        """f(x) = a * prod (x - alpha_i)^lambda_i at an array of encodings."""
+        F = self._require_field()
+        fx = np.full(np.shape(xs), self.a_enc, dtype=np.int64)
+        for alpha, lam in zip(self.alphas, self.lambdas):
+            fx = F.mul_arr(fx, F.pow_arr(F.sub_arr(xs, alpha), lam))
+        return fx
 
     def f_eval(self, a_enc: int) -> int:
         F = self._require_field()
@@ -271,12 +268,7 @@ class Divisor:
     __slots__ = ("table",)
 
     def __init__(self, table=None):
-        self.table = {}
-        if table:
-            for place, coeff in (table.items() if isinstance(table, dict) else table):
-                if coeff:
-                    self.table[place] = self.table.get(place, 0) + int(coeff)
-            self.table = {p: c for p, c in self.table.items() if c}
+        self.table = {p: int(c) for p, c in (table or {}).items() if c}
 
     def coeff(self, place: Place) -> int:
         return self.table.get(place, 0)
@@ -286,11 +278,8 @@ class Divisor:
         # all tracked place classes are rational of degree 1
         return sum(self.table.values())
 
-    def support(self):
-        return sorted(self.table, key=Place.sort_key)
-
     def items(self):
-        return [(p, self.table[p]) for p in self.support()]
+        return sorted(self.table.items())
 
     def __add__(self, other):
         out = dict(self.table)
@@ -299,10 +288,7 @@ class Divisor:
         return Divisor(out)
 
     def __sub__(self, other):
-        out = dict(self.table)
-        for p, c in other.table.items():
-            out[p] = out.get(p, 0) - c
-        return Divisor(out)
+        return self + -other
 
     def __rmul__(self, scalar: int):
         return Divisor({p: scalar * c for p, c in self.table.items()})
@@ -322,13 +308,15 @@ class Divisor:
     def __ge__(self, other):
         return (self - other).is_effective()
 
+    def _pointwise(self, other: "Divisor", op) -> "Divisor":
+        return Divisor({p: op(self.coeff(p), other.coeff(p))
+                        for p in self.table.keys() | other.table.keys()})
+
     def gcd_min(self, other: "Divisor") -> "Divisor":
-        places = set(self.table) | set(other.table)
-        return Divisor({p: min(self.coeff(p), other.coeff(p)) for p in places})
+        return self._pointwise(other, min)
 
     def lmd_max(self, other: "Divisor") -> "Divisor":
-        places = set(self.table) | set(other.table)
-        return Divisor({p: max(self.coeff(p), other.coeff(p)) for p in places})
+        return self._pointwise(other, max)
 
     def to_json(self):
         return [{"place": p.to_json(), "coeff": c} for p, c in self.items()]
@@ -559,10 +547,7 @@ def completely_split_values(curve: KummerCurve) -> list[int]:
     the branch points, so they fail it.
     """
     F = curve._require_kummer_rational()
-    x = np.arange(F.q, dtype=np.int64)
-    fx = np.full(F.q, curve.a_enc, dtype=np.int64)
-    for alpha, lam in zip(curve.alphas, curve.lambdas):
-        fx = F.mul_arr(fx, F.pow_arr(F.sub_arr(x, alpha), lam))
+    fx = curve.f_eval_arr(np.arange(F.q, dtype=np.int64))
     return np.flatnonzero(F.pow_arr(fx, (F.q - 1) // curve.m) == 1).tolist()
 
 

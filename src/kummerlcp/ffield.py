@@ -219,9 +219,7 @@ class FieldSpec:
         zero = a == 0
         if (e[zero] < 0).any():
             raise ZeroDivisionError("negative power of zero")
-        out = self._exp[(self._log[a] * e) % (self.q - 1)]
-        out[zero] = e[zero] == 0
-        return out
+        return np.where(zero, e == 0, self._exp[(self._log[a] * e) % (self.q - 1)])
 
     # -- misc --
 

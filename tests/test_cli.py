@@ -1,8 +1,14 @@
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from kummerlcp.cli import main
+from kummerlcp.codes import REGIMES
 
 
 def run(capsys, *argv):
@@ -206,3 +212,107 @@ def test_output_is_deterministic(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing argv from the CLI grammar
+# ---------------------------------------------------------------------------
+
+CATALOG_IDS = ["ex37", "f49", "f169", "dickson_half_m8", "nope"]
+
+#: (p, k) with p^k <= 169, non-primes and k = 0 included
+FUZZ_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (7, 2),
+               (13, 1), (13, 2), (4, 1), (6, 1), (1, 3), (7, 0)]
+
+#: lcp build curves and options that build a pair; the fuzz adds options
+#: to them, since random ones rarely get that far
+LCP_SEEDS = [
+    ["--catalog", "f169", "--regime", "lambda_two"],
+    ["--catalog", "dickson_half_m8", "--regime", "half_single"],
+    ["--catalog", "f169", "--tuple", "0,0,2,3,6,1", "--phi", "0,1,2,3"],
+]
+
+
+def int_list(data, label, entries, min_size=0, max_size=6):
+    vals = data.draw(st.lists(entries, min_size=min_size, max_size=max_size),
+                     label=label)
+    # now and then an empty or a non-integer entry
+    tail = data.draw(st.sampled_from([""] * 10 + [",", ",x"]),
+                     label=f"{label} tail")
+    return ",".join(map(str, vals)) + tail
+
+
+def mostly(good, bad):
+    """Entries drawn from good four times as often as from bad."""
+    return st.sampled_from(list(good) * 4 + list(bad))
+
+
+def curve_args(data):
+    source = data.draw(st.sampled_from(["catalog", "abstract", "concrete"]),
+                       label="curve")
+    if source == "catalog":
+        return ["--catalog", data.draw(st.sampled_from(CATALOG_IDS), label="id")]
+    m = data.draw(st.sampled_from([0, 1, 2, 3, 4, 6, 8]), label="m")
+    r = data.draw(st.integers(0, 5), label="r")
+    lambdas = mostly(range(1, m), [-1, 0, m, 9])
+    args = ["--m", str(m), "--lambdas", int_list(data, "lambdas", lambdas, r, r)]
+    if source == "concrete":
+        p, k = data.draw(st.sampled_from(FUZZ_FIELDS), label="field")
+        q = p ** k
+        alphas = mostly(range(q), [-1, q])
+        args += ["--field", f"{p},{k}",
+                 "--alphas", int_list(data, "alphas", alphas, r, r)]
+        if data.draw(st.booleans(), label="has a"):
+            args += ["--a", str(data.draw(st.integers(-1, q), label="a"))]
+    return args
+
+
+def fuzz_argv(data):
+    argv = data.draw(st.sampled_from([[], ["--json"], ["--csv"]]), label="fmt")
+    command = data.draw(st.sampled_from(
+        ["curve info", "nonspecial enumerate", "nonspecial check", "lcp build",
+         "census", "reproduce"]), label="command")
+    if command == "reproduce":
+        return argv + ["reproduce", data.draw(st.sampled_from(CATALOG_IDS))]
+    argv += command.split()
+    if command == "lcp build" and data.draw(st.booleans(), label="seeded"):
+        argv += data.draw(st.sampled_from(LCP_SEEDS), label="seed")
+    else:
+        argv += curve_args(data)
+    if command == "nonspecial enumerate" and data.draw(st.booleans()):
+        argv.append("--dedup")
+    coeffs = mostly(range(7), [-2, 9])
+    if command == "nonspecial check":
+        argv += ["--tuple", int_list(data, "tuple", coeffs, max_size=7)]
+    if command == "lcp build":
+        options = {
+            "--regime": lambda: data.draw(st.sampled_from(list(REGIMES))),
+            "--tuple": lambda: int_list(data, "tuple", coeffs, max_size=7),
+            "--phi": lambda: int_list(data, "phi", mostly(range(5), [-1, 6])),
+            "--split": lambda: int_list(data, "split", st.integers(-2, 171),
+                                        max_size=8),
+            "--s": lambda: str(data.draw(st.integers(-2, 8))),
+            "--k": lambda: str(data.draw(st.integers(-1, 4))),
+        }
+        for flag, value in options.items():
+            if data.draw(st.integers(0, 3), label=flag) == 0:
+                argv += [flag, value()]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(data):
+    # bad input ends in a KummerError mapped to exit 1 or 2, or in an
+    # argparse usage error; any other exception fails here
+    argv = fuzz_argv(data)
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), \
+            redirect_stderr(io.StringIO()):
+        os.environ.pop("KDL_MAX_SEARCH", None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from sympy.polys.domains import GF
+from sympy.polys.matrices import DomainMatrix
 
 from kummerlcp import (
     Divisor,
@@ -33,6 +35,7 @@ from kummerlcp.codes import (
 from kummerlcp.curve import Place, ell_invariant, x_pole_divisor
 from kummerlcp.errors import (
     DegreeOutOfRange,
+    InvalidPlace,
     LengthMismatch,
     NotAnElement,
     NotNonSpecial,
@@ -206,6 +209,29 @@ def test_gf_rank_known_matrices(gf7):
     assert gf_rank(make_field(3, 1), N) == 1
 
 
+@settings(max_examples=80, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_gf_rank_matches_sympy_over_prime_fields(data):
+    # sympy's DomainMatrix eliminates over GF(p) independently of the tables
+    p = data.draw(st.sampled_from([2, 3, 7, 13, 103]), label="p")
+    rows, cols = data.draw(st.integers(1, 10), label="rows"), \
+        data.draw(st.integers(1, 10), label="cols")
+
+    def matrix(r, c):
+        return np.array(data.draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=c, max_size=c),
+            min_size=r, max_size=r)), dtype=np.int64).reshape(r, c)
+
+    if data.draw(st.booleans(), label="product"):
+        # rank at most inner: rank-deficient whenever inner < min(rows, cols)
+        inner = data.draw(st.integers(0, min(rows, cols)), label="inner")
+        M = (matrix(rows, inner) @ matrix(inner, cols)) % p
+    else:
+        M = matrix(rows, cols)
+    want = DomainMatrix.from_list(M.tolist(), GF(p)).rank()
+    assert gf_rank(make_field(p, 1), M) == want
+
+
 def test_eval_matrix_constants_row(f169):
     places = split_place_list(f169, completely_split_values(f169)[:2])
     basis = rr_basis(f169, (InvariantTuple(0, (0,) * 5), 0))
@@ -268,7 +294,7 @@ def test_build_code_errors(toy9):
                    + Divisor({places[0]: 1}), places)
 
 
-def test_build_code_needs_whole_fibers(toy9):
+def test_build_code_needs_whole_fibers(toy9, f169):
     A = coeffs_all_ones(2, 5)
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + x_pole_divisor(toy9))
@@ -295,6 +321,17 @@ def test_build_code_needs_whole_fibers(toy9):
             build_code(toy9, G, bad)
         with pytest.raises(NotAnElement):
             eval_matrix(toy9, basis, bad)
+    # a whole fiber of m distinct y-values off the curve: each y above x = 2
+    # times the generator g, so y^m = g^m f(2) != f(2)
+    F = f169.field
+    places = split_place_list(f169, completely_split_values(f169)[:6])
+    off = [Place("split", a=p.a, y=F.mul(p.y, F.generator)) if p.a == 2 else p
+           for p in places]
+    G = 4 * x_pole_divisor(f169)
+    with pytest.raises(InvalidPlace, match=r"a=2, .* does not lie on the curve"):
+        build_code(f169, G, off)
+    with pytest.raises(InvalidPlace, match=r"a=2, .* does not lie on the curve"):
+        eval_matrix(f169, rr_basis(f169, G), off)
 
 
 def scalar_gen(F, basis, places):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from kummerlcp import (
     Divisor,
@@ -161,6 +162,64 @@ def test_divisor_arithmetic(ex37_curve):
     assert D.gcd_min(E) + D.lmd_max(E) == D + E
     again = Divisor.from_json(D.to_json())
     assert again == D
+
+
+#: derandomized; a failing example is reported as drawn, without shrinking
+PROPERTY_SETTINGS = dict(deadline=None, derandomize=True,
+                         phases=(Phase.explicit, Phase.generate))
+
+KIND_RANK = ("branch", "infinity", "split")
+
+
+def place_key(p):
+    return (KIND_RANK.index(p.kind), p.i, p.j, p.a, p.y)
+
+
+@settings(max_examples=60, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_places_and_divisors_match_plain_oracles(f169, data):
+    pool = [p for i in range(f169.r) for p in f169.branch_places(i)]
+    pool += f169.infinity_places()
+    for a in completely_split_values(f169)[:3]:
+        pool += splitting_type(f169, a).places
+    shuffled = data.draw(st.permutations(pool), label="shuffled")
+    assert sorted(shuffled) == sorted(shuffled, key=place_key)
+    keys = {"branch": ["kind", "i", "j"], "infinity": ["kind", "j"],
+            "split": ["kind", "a", "y"]}
+    for p in pool:
+        assert list(p.to_json()) == keys[p.kind]
+        assert Place.from_json(p.to_json()) == p
+
+    tables = st.dictionaries(st.sampled_from(pool), st.integers(-3, 3),
+                             max_size=len(pool))
+    ta, tb = data.draw(tables, label="A"), data.draw(tables, label="B")
+    k = data.draw(st.integers(-3, 3), label="k")
+    A, B = Divisor(ta), Divisor(tb)
+    support = set(ta) | set(tb)
+
+    def pointwise(fn):
+        return {p: fn(ta.get(p, 0), tb.get(p, 0)) for p in support}
+
+    cases = [
+        (A, ta),
+        (B, tb),
+        (A + B, pointwise(lambda a, b: a + b)),
+        (A - B, pointwise(lambda a, b: a - b)),
+        (-A, {p: -c for p, c in ta.items()}),
+        (k * A, {p: k * c for p, c in ta.items()}),
+        (A.gcd_min(B), pointwise(min)),
+        (A.lmd_max(B), pointwise(max)),
+    ]
+    wants = [{p: c for p, c in table.items() if c} for _, table in cases]
+    for (D, _), want in zip(cases, wants):
+        assert D.table == want and 0 not in D.table.values()
+        assert D.items() == sorted(want.items(), key=lambda pc: place_key(pc[0]))
+        assert D.degree == sum(want.values())
+        assert D.is_effective() == all(c >= 0 for c in want.values())
+        assert Divisor.from_json(D.to_json()) == D
+        assert hash(Divisor(dict(reversed(want.items())))) == hash(D)
+    assert (A == B) == (wants[0] == wants[1])
+    assert (A >= B) == all(c >= 0 for c in pointwise(lambda a, b: a - b).values())
 
 
 def test_invariant_divisor_expansion(ex37_curve):

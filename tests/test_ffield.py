@@ -169,6 +169,12 @@ def test_pow_arr_array_exponents_match_scalar(field):
     assert F.pow_arr(a[1:], -1).tolist() == [F.inv(x) for x in range(1, F.q)]
     with pytest.raises(ZeroDivisionError):
         F.pow_arr(a, -1)
+    # scalar (0-d) inputs
+    for x, k in ((F.q - 1, 2), (1, -3), (F.q // 2, 5), (0, 3), (0, 0)):
+        assert int(F.pow_arr(x, k)) == F.pow(x, k)
+    assert int(F.pow_arr(0, 0)) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.pow_arr(0, -1)
 
 
 def test_nth_roots_properties(field):

@@ -119,6 +119,14 @@ def test_modes_agree_and_match_dimension_oracle():
         for n0 in range(c.ram.e_inf):
             cond2, cond3 = bulk_verdicts(c, n0)
             assert np.array_equal(cond2, cond3)
+            # no box here reaches the default cell limit, so only a smaller
+            # limit runs the leading-axis split; limit 1 splits down to one
+            # axis, ~5 s over every n0, so it runs at n0 = 0 only
+            box = math.prod(c.ram.e)
+            for limit in [box // 3 + 1] + [1] * (n0 == 0):
+                split2, split3 = bulk_verdicts(c, n0, limit=limit)
+                assert np.array_equal(split2, cond2)
+                assert np.array_equal(split3, cond3)
             ell = ell_invariant_bulk(c, n0)
             deg = np.zeros((), dtype=np.int64) + n0 * c.ram.d_inf
             for axis, (e_i, d_i) in enumerate(zip(c.ram.e, c.ram.d)):

@@ -1,8 +1,13 @@
 import ast
+import io
 import re
+import shlex
 import sys
 import tomllib
+from contextlib import redirect_stdout
 from pathlib import Path
+
+from kummerlcp.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummerlcp"
 ROOT = PACKAGE.parent.parent
@@ -89,3 +94,30 @@ def test_third_party_imports_are_declared():
                            for name in names
                            if name.split(".")[0] not in known]
     assert not undeclared, f"imports missing from pyproject.toml: {undeclared}"
+
+
+def _readme_block(heading, lang):
+    """The first fenced block of the given language under a README heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(heading + "\n")[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S)[1].splitlines()
+
+
+def test_readme_commands_and_example_run():
+    commands = [shlex.split(line)[1:] for line in _readme_block("## CLI", "sh")
+                if line.startswith("kummerlcp ")]
+    assert commands
+    for argv in commands:
+        for flags in ([], ["--json"]):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                code = main(flags + argv)
+            assert code == 0 and out.getvalue(), flags + argv
+    # the example prints what its comments say
+    example = _readme_block("## Example", "python")
+    stated = [line.split("#")[-1].strip() for line in example
+              if line.startswith("print(")]
+    assert stated == ["24", "224 160 64 True"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec("\n".join(example), {})
+    assert out.getvalue().splitlines() == stated
