@@ -14,35 +14,27 @@ the G/H construction producing complementary pairs of codes from a
 non-special divisor of degree g, and exhaustive minimum-distance checks.
 
 Codes are evaluated at whole fibers: all m places (a, y_1), ..., (a, y_m)
-above each of T distinct completely split x-values a.  A basis element
-sum_t b_t(x) * y^t takes the value sum_t b_t(a) * y_j^t there, so the
-generator matrix is the k x mT x-part matrix R of eval_matrix (columns
-weight-major, entry [i, t * T + j] = b_t(a_j)) times a block-diagonal of
-invertible Vandermonde matrices V_a[t, j] = y_j^t, and has the rank of R.
-R is block-diagonal by weight t, except for the rows of the delta = 1
-functional, which may join two weights; the rank of a code, and of a
-stacked pair, is the sum of the ranks of those weight components.  A
-component whose rows are single terms x^j / D(x), with at most two
-denominators D (one per code) and exponents 0..d for each, is ranked from
-its denominators: a Vandermonde rank for one code, and for a stack the
-rank of the small matrix of x^j * e mod c, where c and e are the lcm of
-the two denominators over each of them (see _monomial_rank).  The
-non-pole check of eval_matrix makes that lcm nonzero at every x-value.
-gf_rank eliminates that small matrix and every other component: rows of
-the delta = 1 functional, multi-term rows, exponents with gaps and stacks
-whose degree reaches T.  Dense gf_rank of a whole generator matrix is the
-test oracle, not a production path.  A code stores R only;
-LinearCode.gen() multiplies the generator matrix out on demand.
-
-eval_matrix builds R in a batch: one vector of denominator values per
-distinct factor set, then every term at once through FieldSpec.pow_arr with
-an array of exponents and two mul_arr calls, so its field kernel calls grow
-with the number of denominators, not of basis terms.
+above each of T distinct completely split x-values a.  fiber_values checks
+a place list once and returns it as Fibers (the places, their sorted
+x-values xs, each place's column into xs and its y-value); build_code,
+eval_matrix, LinearCode.gen() and the lmd identity of a pair reuse it and
+check nothing again.  A basis element sum_t b_t(x) * y^t takes the value
+sum_t b_t(a) * y_j^t at (a, y_j), so the generator matrix is the k x mT
+x-part matrix R of eval_matrix (entry [i, t * T + j] = b_t(xs[j])) times a
+block-diagonal of invertible Vandermonde matrices V_a[t, j] = y_j^t, and
+has the rank of R.  R is block-diagonal by weight t, except where a row of
+the delta = 1 functional joins two weights, so x_part_rank sums the ranks
+of the weight components: from the denominators when the rows are single
+terms x^j / D(x) (_monomial_rank), else by gf_rank.  Dense gf_rank of a
+whole generator matrix is the test oracle, not a production path.  A code
+stores R only; LinearCode.gen() multiplies the generator matrix out on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,9 +55,7 @@ from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     FormulaMismatch,
-    InvalidPlace,
     LengthMismatch,
-    NotAnElement,
     NotNonSpecial,
     NotWholeFibers,
     PoleAtEvaluationPlace,
@@ -277,8 +267,41 @@ def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
 # Evaluation and linear algebra over GF(q)
 # ---------------------------------------------------------------------------
 
-def split_place_list(curve: KummerCurve, a_values) -> list[Place]:
-    """All places above the given distinct completely split x-values, sorted."""
+class Fibers(NamedTuple):
+    """Evaluation places that fiber_values found to be whole fibers."""
+
+    places: list        # the places as given
+    xs: np.ndarray      # the T sorted x-values
+    col: np.ndarray     # each place's index into xs
+    y: np.ndarray       # each place's y-value
+
+
+def fiber_values(curve: KummerCurve, places: list[Place]) -> Fibers:
+    """The places as Fibers, if they are whole fibers: m split places with
+    distinct y-values above each of one or more x-values, on the curve."""
+    if not places:
+        raise NotWholeFibers("no places: evaluation needs at least one whole fiber")
+    fibers = {}
+    for p in places:
+        if p.kind != "split":
+            raise NotWholeFibers(f"{p} is not a split place")
+        fibers.setdefault(p.a, []).append(p.y)
+    for a, ys in fibers.items():
+        if len(ys) != curve.m or len(set(ys)) != curve.m:
+            raise NotWholeFibers(
+                f"x = {a} carries {len(ys)} places with {len(set(ys))} distinct "
+                f"y-values, not the m = {curve.m} of a whole fiber")
+    return Fibers(places, *curve.split_coordinates(places))
+
+
+def _require_fibers(fibers) -> Fibers:
+    if isinstance(fibers, Fibers):
+        return fibers
+    raise TypeError("evaluate at Fibers, built by fiber_values(curve, places)")
+
+
+def split_place_list(curve: KummerCurve, a_values) -> Fibers:
+    """The fibers above distinct completely split x-values, places sorted."""
     values = sorted(int(v) for v in a_values)
     repeated = sorted({a for a, b in zip(values, values[1:]) if a == b})
     if repeated:
@@ -289,45 +312,16 @@ def split_place_list(curve: KummerCurve, a_values) -> list[Place]:
         if info.kind != "split":
             raise UnsupportedRoot(f"x = {a} is not completely split")
         places.extend(info.places)
-    return places
-
-
-def fiber_values(curve: KummerCurve, places: list[Place]) -> list[int]:
-    """The sorted x-values of places that are whole fibers: m split places
-    with distinct y-values above each of distinct x-values, each on the
-    curve (y^m = f(a), which rules out y = 0 and the branch points)."""
-    F = curve._require_field()
-    q = F.q
-    fibers = {}
-    for p in places:
-        if p.kind != "split":
-            raise NotWholeFibers(f"{p} is not a split place")
-        if not (0 <= p.a < q and 0 <= p.y < q):
-            raise NotAnElement(f"{p} has a coordinate outside [0, {q})")
-        fibers.setdefault(p.a, []).append(p.y)
-    for a, ys in fibers.items():
-        if len(ys) != curve.m or len(set(ys)) != curve.m:
-            raise NotWholeFibers(
-                f"x = {a} carries {len(ys)} places with {len(set(ys))} distinct "
-                f"y-values, not the m = {curve.m} of a whole fiber")
-    xs = sorted(fibers)
-    fx = curve.f_eval_arr(np.array(xs, dtype=np.int64))
-    col = np.searchsorted(xs, [p.a for p in places])
-    y = np.array([p.y for p in places], dtype=np.int64)
-    off = np.flatnonzero(F.pow_arr(y, curve.m) != fx[col])
-    if off.size:
-        raise InvalidPlace(f"{places[off[0]]} does not lie on the curve")
-    return xs
+    return fiber_values(curve, places)
 
 
 def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
-                places: list[Place]) -> np.ndarray:
-    """The basis at whole fibers of split places, in weight coordinates.
-
-    With xs the T sorted x-values of places, entry [i, t * T + j] is the sum
-    of c * b(xs[j]) over the terms c * b(x) * y^t of basis[i].  At the place
-    (xs[j], y) the element takes the value sum_t [i, t * T + j] * y^t, so
-    this k x mT matrix has the generator matrix's shape and rank.
+                fibers: Fibers) -> np.ndarray:
+    """The basis at whole fibers, in weight coordinates: with xs the T
+    sorted x-values, entry [i, t * T + j] is the sum of c * b(xs[j]) over
+    the terms c * b(x) * y^t of basis[i].  At the place (xs[j], y) the
+    element takes the value sum_t [i, t * T + j] * y^t, so this k x mT
+    matrix has the generator matrix's shape and rank.
 
     All terms are evaluated together: one pow_arr of xs to every term's
     exponent, one mul_arr by every term's denominator vector (one vector per
@@ -337,7 +331,7 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     number of denominators, not of terms.
     """
     F = curve.field
-    xs = np.asarray(fiber_values(curve, places), dtype=np.int64)
+    xs = _require_fibers(fibers).xs
     T, m = len(xs), curve.m
     out = np.zeros((len(basis), m * T), dtype=np.int64)
     terms = [(i, bf.t, bf.xpow, coeff, bf.factors)
@@ -389,8 +383,6 @@ def x_part_rank(field: FieldSpec, X: np.ndarray, width: int,
     ranked from its denominators by _monomial_rank; every other component,
     and every component when no basis is given, by gf_rank.
     """
-    if not width:
-        return 0
     rows, cols = X.shape
     touches = X.reshape(rows, cols // width, width).any(axis=2)
     label = np.arange(cols // width)
@@ -512,20 +504,17 @@ class LinearCode:
     divisor_G: Divisor
     designed_distance: int
     basis: list
-    places: list                    # the n evaluation places, whole fibers
-    xpart: np.ndarray               # k x n eval_matrix of basis at places
+    fibers: Fibers                  # the n evaluation places
+    xpart: np.ndarray               # k x n eval_matrix of basis at fibers
 
     def gen(self) -> np.ndarray:
         """The k x n generator matrix, built from xpart on every call.
 
-        Entry [i, j] is basis[i] at places[j] = (a, y): the sum over t of
-        xpart's weight-t block at a times y^t.
+        Entry [i, j] is basis[i] at fibers.places[j] = (a, y): the sum over
+        t of xpart's weight-t block at a times y^t.
         """
         F = self.field
-        xs = sorted({p.a for p in self.places})
-        T = len(xs)
-        col = np.searchsorted(xs, [p.a for p in self.places])
-        y_arr = np.array([p.y for p in self.places], dtype=np.int64)
+        T, col, y_arr = len(self.fibers.xs), self.fibers.col, self.fibers.y
         gen = np.zeros((self.k, self.n), dtype=np.int64)
         for t in range(self.xpart.shape[1] // T):
             block = self.xpart[:, t * T:(t + 1) * T]
@@ -545,11 +534,10 @@ class LinearCode:
         }
 
 
-def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCode:
-    """Evaluation code of L(G) at split places that are whole fibers."""
-    n = len(places)
-    fiber_values(curve, places)  # before the checks that assume split places
-    if any(p in G.table for p in places):
+def build_code(curve: KummerCurve, G: Divisor, fibers: Fibers) -> LinearCode:
+    """Evaluation code of L(G) at whole fibers of split places."""
+    n = len(_require_fibers(fibers).places)
+    if any(p in G.table for p in fibers.places):
         raise SupportOverlap("supp(G) meets the evaluation divisor")
     deg = G.degree
     g = curve.genus
@@ -561,10 +549,10 @@ def build_code(curve: KummerCurve, G: Divisor, places: list[Place]) -> LinearCod
         raise DimensionMismatch(
             f"basis size {len(basis)} != deg - g + 1 = {k}")
     # the generator matrix has the rank of its weight-coordinate matrix
-    xpart = eval_matrix(curve, basis, places)
-    if x_part_rank(curve.field, xpart, n // curve.m, basis) != k:
+    xpart = eval_matrix(curve, basis, fibers)
+    if x_part_rank(curve.field, xpart, len(fibers.xs), basis) != k:
         raise DimensionMismatch("generator matrix rank below ell(G)")
-    return LinearCode(curve.field, n, k, G, n - deg, basis, places, xpart)
+    return LinearCode(curve.field, n, k, G, n - deg, basis, fibers, xpart)
 
 
 def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
@@ -573,13 +561,13 @@ def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
     The stacked generator matrix has the rank of the stacked x-part
     matrices, since both codes share their evaluation places.
     """
-    if C.n != E.n or C.field != E.field or C.places != E.places:
+    if C.n != E.n or C.field != E.field or C.fibers.places != E.fibers.places:
         raise LengthMismatch("codes must share length, field and places")
     if C.k + E.k != C.n:
         return False
     stacked = np.vstack([C.xpart, E.xpart])
-    width = len({p.a for p in C.places})
-    return x_part_rank(C.field, stacked, width, C.basis + E.basis) == C.n
+    return x_part_rank(C.field, stacked, len(C.fibers.xs),
+                       C.basis + E.basis) == C.n
 
 
 def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:
@@ -672,11 +660,10 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
         if curve.ram.d[i] != 1:
             raise RampPreconditionViolated(
                 f"branch {i} (lambda={curve.lambdas[i]}) is not totally ramified")
-    places = split_place_list(curve, split_values)
-    n = len(places)
-    t = n // curve.m
+    fibers = split_place_list(curve, split_values)
+    t = len(fibers.xs)
     n_phi = len(phi_indices)
-    first, last = s_interval(curve, n, n_phi)
+    first, last = s_interval(curve, len(fibers.places), n_phi)
     if s is None:
         s = first
     if not first <= s <= last:
@@ -689,17 +676,18 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
     phi_zero = Divisor({curve.branch_places(i)[0]: curve.m for i in phi_indices})
     H = base + s * phi_zero
 
-    code_G = build_code(curve, G, places)
-    code_H = build_code(curve, H, places)
+    code_G = build_code(curve, G, fibers)
+    code_H = build_code(curve, H, fibers)
     verified = lcp_verify(code_G, code_H)
 
     # divisor identities of the construction
     gcd_ok = G.gcd_min(H) == base
-    # phi = prod_{i in Phi} (x - alpha_i), h = prod over the split values (x - a)
-    D_div = Divisor({p: 1 for p in places})
+    # phi = prod_{i in Phi} (x - alpha_i) and h = prod over the split values
+    # (x - a); the zeros of h are the places D, so div(h) = D - t div_inf(x)
+    D_div = Divisor({p: 1 for p in fibers.places})
     lhs = G.lmd_max(H) - D_div - base
     rhs = (s * principal_divisor(curve, {curve.alphas[i]: 1 for i in phi_indices})
-           - principal_divisor(curve, {int(a): 1 for a in split_values}))
+           - (D_div - t * x_pole_divisor(curve)))
     lmd_ok = lhs == rhs and rhs.degree == 0
 
     return LCPPair(code_G, code_H, s, A, verified, gcd_ok, lmd_ok)

@@ -217,15 +217,26 @@ class KummerCurve:
             if not 0 <= place.j < self.ram.d_inf:
                 raise InvalidPlace(f"invalid infinite place {place}")
         elif place.kind == "split":
-            F = self._require_field()
-            if not (0 <= place.a < F.q and 0 <= place.y < F.q):
-                raise NotAnElement(f"{place} has a coordinate outside [0, {F.q})")
-            if self.alphas and place.a in self.alphas:
-                raise InvalidPlace(f"{place} sits over a branch point")
-            if F.pow(place.y, self.m) != self.f_eval(place.a) or place.y == 0:
-                raise InvalidPlace(f"{place} does not lie on the curve")
+            self.split_coordinates([place])
         else:
             raise InvalidPlace(f"unknown place kind {place.kind!r}")
+
+    def split_coordinates(self, places):
+        """(xs, col, y) of split places: the sorted distinct x-values, each
+        place's index into xs and its y-value.  Raises NotAnElement for a
+        coordinate outside [0, q), then InvalidPlace for the first place off
+        the curve: y = 0 or y^m != f(a)."""
+        F = self._require_field()
+        out = [p for p in places if not (0 <= p.a < F.q and 0 <= p.y < F.q)]
+        if out:
+            raise NotAnElement(f"{out[0]} has a coordinate outside [0, {F.q})")
+        xs, col = np.unique([p.a for p in places], return_inverse=True)
+        y = np.array([p.y for p in places], dtype=np.int64)
+        off = np.flatnonzero((y == 0)
+                             | (F.pow_arr(y, self.m) != self.f_eval_arr(xs)[col]))
+        if off.size:
+            raise InvalidPlace(f"{places[off[0]]} does not lie on the curve")
+        return xs, col, y
 
     # -- serialization --
 

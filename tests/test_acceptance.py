@@ -327,9 +327,9 @@ def test_acceptance_07_dickson_instance():
 
 def _toy_codes(toy9):
     A = coeffs_all_ones(2, 5)
-    places = split_place_list(toy9, completely_split_values(toy9))
+    fibers = split_place_list(toy9, completely_split_values(toy9))
     base = invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
-    return [build_code(toy9, base + c * x_pole_divisor(toy9), places)
+    return [build_code(toy9, base + c * x_pole_divisor(toy9), fibers)
             for c in (1, 2, 3)]
 
 

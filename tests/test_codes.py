@@ -10,6 +10,7 @@ from kummerlcp import (
     build_code,
     coeffs_all_ones,
     completely_split_values,
+    dickson_curve_double,
     eval_matrix,
     gf_rank,
     infinity_functional,
@@ -28,11 +29,12 @@ from kummerlcp.codes import (
     SpaceElement,
     basis_valuation,
     divisor_shape,
+    fiber_values,
     s_interval,
     split_place_list,
     x_part_rank,
 )
-from kummerlcp.curve import Place, ell_invariant, x_pole_divisor
+from kummerlcp.curve import Place, ell_invariant, principal_divisor, x_pole_divisor
 from kummerlcp.errors import (
     DegreeOutOfRange,
     InvalidPlace,
@@ -117,7 +119,7 @@ def test_divisor_shape_roundtrip(f169):
 
 
 def test_divisor_shape_rejections(f169):
-    split = split_place_list(f169, completely_split_values(f169)[:1])[0]
+    split = split_place_list(f169, completely_split_values(f169)[:1]).places[0]
     with pytest.raises(UnsupportedShape):
         divisor_shape(f169, Divisor({split: 1}))
     p0, p1 = f169.branch_places(4)  # d_5 = 2, two conjugates
@@ -233,9 +235,9 @@ def test_gf_rank_matches_sympy_over_prime_fields(data):
 
 
 def test_eval_matrix_constants_row(f169):
-    places = split_place_list(f169, completely_split_values(f169)[:2])
+    fibers = split_place_list(f169, completely_split_values(f169)[:2])
     basis = rr_basis(f169, (InvariantTuple(0, (0,) * 5), 0))
-    M = eval_matrix(f169, basis, places)
+    M = eval_matrix(f169, basis, fibers)
     assert M.shape == (1, 2 * f169.m)
     # the constant 1 is its weight-0 x-part at both x-values, nothing else
     assert (M[:, :2] == 1).all()
@@ -268,8 +270,8 @@ def toy_code(toy9, c):
     A = coeffs_all_ones(2, 5)
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + c * x_pole_divisor(toy9))
-    places = split_place_list(toy9, completely_split_values(toy9))
-    return build_code(toy9, G, places)
+    fibers = split_place_list(toy9, completely_split_values(toy9))
+    return build_code(toy9, G, fibers)
 
 
 def test_build_code_toy_parameters(toy9):
@@ -283,23 +285,28 @@ def test_build_code_toy_parameters(toy9):
 
 def test_build_code_errors(toy9):
     A = coeffs_all_ones(2, 5)
-    places = split_place_list(toy9, completely_split_values(toy9))
+    fibers = split_place_list(toy9, completely_split_values(toy9))
     base = invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
     with pytest.raises(DegreeOutOfRange):
-        build_code(toy9, base, places)  # deg g - 1 = 1 <= 2g - 2
+        build_code(toy9, base, fibers)  # deg g - 1 = 1 <= 2g - 2
     with pytest.raises(DegreeOutOfRange):
-        build_code(toy9, base + 4 * x_pole_divisor(toy9), places)  # deg >= n
+        build_code(toy9, base + 4 * x_pole_divisor(toy9), fibers)  # deg >= n
     with pytest.raises(SupportOverlap):
         build_code(toy9, base + 2 * x_pole_divisor(toy9)
-                   + Divisor({places[0]: 1}), places)
+                   + Divisor({fibers.places[0]: 1}), fibers)
 
 
 def test_build_code_needs_whole_fibers(toy9, f169):
     A = coeffs_all_ones(2, 5)
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + x_pole_divisor(toy9))
-    places = split_place_list(toy9, completely_split_values(toy9))
+    places = split_place_list(toy9, completely_split_values(toy9)).places
     basis = rr_basis(toy9, G)
+    # the code and the evaluator take only fibers that fiber_values checked
+    with pytest.raises(TypeError, match=r"fiber_values\(curve, places\)"):
+        build_code(toy9, G, places)
+    with pytest.raises(TypeError, match=r"fiber_values\(curve, places\)"):
+        eval_matrix(toy9, basis, places)
     not_fibers = [
         places[:-1],                            # a fiber missing a place
         places[:-1] + [places[-2]],             # a y-value twice
@@ -309,29 +316,33 @@ def test_build_code_needs_whole_fibers(toy9, f169):
     ]
     for bad in not_fibers:
         with pytest.raises(NotWholeFibers):
-            build_code(toy9, G, bad)
-        with pytest.raises(NotWholeFibers):  # the evaluator checks on its own
-            eval_matrix(toy9, basis, bad)
+            build_code(toy9, G, fiber_values(toy9, bad))
+        with pytest.raises(NotWholeFibers):
+            eval_matrix(toy9, basis, fiber_values(toy9, bad))
+    # no places at all: a [0, 0] code would divide by zero later
+    line = make_curve(make_field(7, 1), 3, [(0, 1)])  # y^3 = x, genus 0
+    with pytest.raises(NotWholeFibers, match="no places"):
+        build_code(line, Divisor({line.q_infinity(): -1}), fiber_values(line, []))
     # a whole fiber whose x- or y-values lie outside [0, q)
     q = toy9.field.q
     for shift in ({"a": q}, {"a": -q}, {"y": q}):
         bad = [Place("split", a=p.a + shift.get("a", 0), y=p.y + shift.get("y", 0))
                if p.a == places[0].a else p for p in places]
         with pytest.raises(NotAnElement):
-            build_code(toy9, G, bad)
+            build_code(toy9, G, fiber_values(toy9, bad))
         with pytest.raises(NotAnElement):
-            eval_matrix(toy9, basis, bad)
+            eval_matrix(toy9, basis, fiber_values(toy9, bad))
     # a whole fiber of m distinct y-values off the curve: each y above x = 2
     # times the generator g, so y^m = g^m f(2) != f(2)
     F = f169.field
-    places = split_place_list(f169, completely_split_values(f169)[:6])
+    places = split_place_list(f169, completely_split_values(f169)[:6]).places
     off = [Place("split", a=p.a, y=F.mul(p.y, F.generator)) if p.a == 2 else p
            for p in places]
     G = 4 * x_pole_divisor(f169)
     with pytest.raises(InvalidPlace, match=r"a=2, .* does not lie on the curve"):
-        build_code(f169, G, off)
+        build_code(f169, G, fiber_values(f169, off))
     with pytest.raises(InvalidPlace, match=r"a=2, .* does not lie on the curve"):
-        eval_matrix(f169, rr_basis(f169, G), off)
+        eval_matrix(f169, rr_basis(f169, G), fiber_values(f169, off))
 
 
 def scalar_gen(F, basis, places):
@@ -358,7 +369,7 @@ def test_gen_matches_scalar_oracle(toy9, f49, f169):
         pair = lcp_build_regime(curve, "lambda_two", s=2)
         codes += [pair.C, pair.E]
     for code in codes:
-        want = scalar_gen(code.field, code.basis, code.places)
+        want = scalar_gen(code.field, code.basis, code.fibers.places)
         assert code.gen().tolist() == want
         assert code.to_json()["rows"] == want
 
@@ -392,7 +403,7 @@ def eval_oracle_property(curve, data, always=()):
     values = data.draw(st.lists(st.sampled_from(split), max_size=5, unique=True),
                        label="values")
     values = sorted(set(values) | set(always)) or split[:1]
-    places = split_place_list(curve, values)
+    fibers = split_place_list(curve, values)
     poles = [a for a in range(F.q) if a not in values]
     factor = st.one_of(st.tuples(st.sampled_from(poles), st.integers(1, 3)),
                        st.tuples(st.integers(0, F.q - 1), st.integers(-3, 0)))
@@ -402,9 +413,9 @@ def eval_oracle_property(curve, data, always=()):
     element = st.lists(st.tuples(coeff, function), min_size=1, max_size=4)
     basis = [SpaceElement(tuple(terms)) for terms in
              data.draw(st.lists(element, max_size=6), label="basis")]
-    X = eval_matrix(curve, basis, places)
+    X = eval_matrix(curve, basis, fibers)
     assert X.shape == (len(basis), curve.m * len(values))
-    assert expand_x_part(F, X, places) == scalar_gen(F, basis, places)
+    assert expand_x_part(F, X, fibers.places) == scalar_gen(F, basis, fibers.places)
 
 
 @settings(max_examples=40, **PROPERTY_SETTINGS)
@@ -434,7 +445,7 @@ def test_eval_matrix_matches_scalar_oracle_zero_split(zero_split, data):
 
 def test_eval_matrix_rejects_poles_and_bad_weights(f49):
     values = completely_split_values(f49)[:3]
-    places = split_place_list(f49, values)
+    fibers = split_place_list(f49, values)
     a, b = values[1], f49.alphas[0]
     shared = ((b, 1), (a, 1))
     rows = [SpaceElement.single(BasisFunction(1, j, shared)) for j in range(3)]
@@ -449,19 +460,19 @@ def test_eval_matrix_rejects_poles_and_bad_weights(f49):
     ]
     for basis in cases:
         with pytest.raises(PoleAtEvaluationPlace, match=f"x = {a}"):
-            eval_matrix(f49, basis, places)
+            eval_matrix(f49, basis, fibers)
     # a pole-free denominator and a numerator at a evaluate
     eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ((b, 1), (a, -1))))],
-                places)
+                fibers)
     # a weight outside [0, m) has no column block
     for t in (-1, f49.m):
         with pytest.raises(UnsupportedShape, match="weights"):
             eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ())),
-                              SpaceElement.single(BasisFunction(t, 0, ()))], places)
+                              SpaceElement.single(BasisFunction(t, 0, ()))], fibers)
     # the stacked bases of a pair with one such row
     pair = lcp_build_regime(f49, "lambda_two", s=2)
     with pytest.raises(PoleAtEvaluationPlace):
-        eval_matrix(f49, pair.C.basis + pair.E.basis + cases[0], pair.C.places)
+        eval_matrix(f49, pair.C.basis + pair.E.basis + cases[0], pair.C.fibers)
 
 
 def test_min_distance_toy_codes(toy9):
@@ -489,11 +500,11 @@ def test_lcp_verify_basics(toy9):
 
 
 def toy_code_short(toy9, values=slice(0, 3)):
-    places = split_place_list(toy9, completely_split_values(toy9)[values])
+    fibers = split_place_list(toy9, completely_split_values(toy9)[values])
     A = coeffs_all_ones(2, 5)
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + x_pole_divisor(toy9))
-    return build_code(toy9, G, places)
+    return build_code(toy9, G, fibers)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +577,46 @@ def test_lcp_half_double_regimes(hd_n1_curve, hd_n2_curve):
     p2 = lcp_build_regime(hd_n2_curve, "half_double_N2")
     assert (p2.C.n, p2.C.k, p2.E.k) == (32, 12, 20)
     assert p2.verified and p2.gcd_identity and p2.lmd_identity
+
+
+def assert_div_h_from_fibers(curve, pair, values):
+    """div(h), h = prod (x - a) over the split values, read off the pair's
+    fibers as the lmd identity does, equals principal_divisor of h."""
+    fibers = pair.C.fibers
+    assert fibers.xs.tolist() == sorted(values)
+    div_h = Divisor({p: 1 for p in fibers.places}) \
+        - len(fibers.xs) * x_pole_divisor(curve)
+    assert div_h == principal_divisor(curve, {a: 1 for a in values})
+
+
+@pytest.mark.parametrize("name, regime, s, n_values", [
+    ("f169", "lambda_two", 2, None),
+    ("f49", "lambda_two", 2, None),
+    ("dickson103", "half_single", None, 50),
+])
+def test_lmd_identity_div_h_matches_principal_divisor(name, regime, s, n_values,
+                                                      request):
+    curve = request.getfixturevalue(name)
+    values = completely_split_values(curve)[:n_values]
+    pair = lcp_build_regime(curve, regime, split_values=values, s=s)
+    assert pair.verified and pair.gcd_identity and pair.lmd_identity
+    assert_div_h_from_fibers(curve, pair, values)
+
+
+@pytest.mark.parametrize("regime", ["half_double_N1", "half_double_N2"])
+@pytest.mark.parametrize("m, q, params", [(4, 11, (160, 140, 20)),
+                                          (6, 13, (180, 138, 42))])
+def test_dickson_curve_double_pairs(m, q, params, regime):
+    # the half_double regimes on the Dickson family itself, at the first 40
+    # split values (GF(169) has only 30 for m = 6)
+    curve = dickson_curve_double(m, q)
+    values = completely_split_values(curve)[:40]
+    pair = lcp_build_regime(curve, regime, split_values=values)
+    assert (pair.C.n, pair.C.k, pair.E.k) == params
+    assert pair.verified and pair.gcd_identity and pair.lmd_identity
+    assert_div_h_from_fibers(curve, pair, values)
+    for code in (pair.C, pair.E):
+        assert gf_rank(curve.field, code.gen()) == code.k
 
 
 def test_lcp_regime_validation(f169, toy9):
@@ -727,7 +778,7 @@ def monomial_rank_property(curve, data):
                                 min_size=1, max_size=6, unique=True),
                        label="values")
     T = len(values)
-    places = split_place_list(curve, values)
+    fibers = split_place_list(curve, values)
     factors = st.lists(st.tuples(st.sampled_from(curve.alphas), st.integers(1, 3)),
                        max_size=3, unique_by=lambda f: f[0]).map(tuple)
     basis = []
@@ -743,9 +794,9 @@ def monomial_rank_property(curve, data):
         [basis[i] for i in repeats]
     if not basis:
         return
-    X = eval_matrix(curve, basis, places)
+    X = eval_matrix(curve, basis, fibers)
     assert x_part_rank(F, X, T, basis) \
-        == gf_rank(F, scalar_gen(F, basis, places)) == x_part_rank(F, X, T)
+        == gf_rank(F, scalar_gen(F, basis, fibers.places)) == x_part_rank(F, X, T)
 
 
 @settings(max_examples=60, **PROPERTY_SETTINGS)
@@ -777,7 +828,7 @@ def test_monomial_rank_branches(f49, rank_calls):
     # T = 4 split values of f49; denominators over its first two branch points
     F = f49.field
     values = completely_split_values(f49)[:4]
-    places = split_place_list(f49, values)
+    fibers = split_place_list(f49, values)
     a, b = f49.alphas[:2]
     cases = [
         # one denominator, d + 1 = 6 > T: the Vandermonde rank min(d + 1, T)
@@ -802,9 +853,9 @@ def test_monomial_rank_branches(f49, rank_calls):
     ]
     for basis, want, calls in cases:
         rank_calls.clear()
-        X = eval_matrix(f49, basis, places)
-        assert x_part_rank(F, X, 4, basis) == gf_rank(F, scalar_gen(F, basis, places)) \
-            == want
+        X = eval_matrix(f49, basis, fibers)
+        assert x_part_rank(F, X, 4, basis) \
+            == gf_rank(F, scalar_gen(F, basis, fibers.places)) == want
         assert rank_calls == calls
 
 
@@ -839,7 +890,7 @@ def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls
     # cut to the first row of each factor set makes the same kernel calls
     values = completely_split_values(dickson103)[:50]
     pair = lcp_build_regime(dickson103, "half_single", split_values=values)
-    basis, places = pair.C.basis, pair.C.places
+    basis, fibers = pair.C.basis, pair.C.fibers
     seen, cut = set(), []
     for elem in basis:
         factors = {bf.factors for _, bf in elem.terms}
@@ -850,7 +901,7 @@ def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls
     counts = []
     for rows in (basis, cut):
         kernel_calls.clear()
-        eval_matrix(dickson103, rows, places)
+        eval_matrix(dickson103, rows, fibers)
         counts.append(dict(kernel_calls))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) < len(cut) * 20

@@ -113,6 +113,8 @@ def test_place_lists_and_validation(ex37_curve, f49):
         ex37_curve.validate_place(Place("branch", i=0, j=1))
     with pytest.raises(InvalidPlace):
         f49.validate_place(Place("split", a=f49.alphas[0], y=1))
+    with pytest.raises(InvalidPlace):  # y^m = f(a) = 0 there, but y = 0
+        f49.validate_place(Place("split", a=f49.alphas[0], y=0))
     with pytest.raises(InvalidPlace):
         f49.validate_place(Place("split", a=3, y=0))
 

@@ -340,6 +340,34 @@ def test_field_axioms_property(pk, data):
     assert F.mul_arr(ys > xs, ys).tolist() == [F.mul(int(y > x), y) for x, y in pairs]
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 13, 103])
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_poly_gcd_and_division_match_sympy(p, data):
+    # Poly.gcd, // and % over GF(p) against sympy's polynomials mod p; half
+    # of the pairs share a drawn factor, so their gcd is not always 1
+    F = make_field(p, 1)
+    coeffs = st.lists(st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1),
+                      max_size=8)
+    a, b = (Poly(F, data.draw(coeffs, label=name)) for name in "ab")
+    if data.draw(st.booleans(), label="common"):
+        c = Poly(F, data.draw(coeffs, label="c"))
+        a, b = a * c, b * c
+    x = sympy.Symbol("x")
+
+    def to_sympy(f):
+        return sympy.Poly(list(f.coeffs[::-1]) or [0], x, modulus=p)
+
+    def from_sympy(g):
+        return Poly.from_ints(F, g.all_coeffs()[::-1])
+
+    assert a.gcd(b) == from_sympy(to_sympy(a).gcd(to_sympy(b)))
+    if not b.is_zero():
+        quot, rem = to_sympy(a).div(to_sympy(b))
+        assert a // b == from_sympy(quot)
+        assert a % b == from_sympy(rem)
+
+
 def _gf_poly(F, enc):
     """sympy's dense GF(p) polynomial (high to low) of an encoding."""
     digits = []

@@ -7,7 +7,11 @@ import tomllib
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
+from kummerlcp import codes
 from kummerlcp.cli import main
+from kummerlcp.codes import fiber_values
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummerlcp"
 ROOT = PACKAGE.parent.parent
@@ -44,9 +48,8 @@ def test_no_builtin_value_or_assertion_errors_raised_in_package():
     assert not found, f"ValueError/AssertionError raised in the package: {found}"
 
 
-def test_bench_tracer_covers_every_layer():
-    # a refactor that drops or renames a traced function must fail here,
-    # not only in the benchmark's traced run
+def _bench_modules():
+    """The benchmark's stagetrace and workloads modules."""
     bench = ROOT / "bench"
     sys.path.insert(0, str(bench))
     try:
@@ -54,6 +57,13 @@ def test_bench_tracer_covers_every_layer():
         import workloads
     finally:
         sys.path.remove(str(bench))
+    return stagetrace, workloads
+
+
+def test_bench_tracer_covers_every_layer():
+    # a refactor that drops or renames a traced function must fail here,
+    # not only in the benchmark's traced run
+    stagetrace, workloads = _bench_modules()
     for name in ("catalog", "dickson103_n400"):
         wl = workloads.WORKLOADS[name]
         with stagetrace.Tracer() as tracer:
@@ -63,6 +73,32 @@ def test_bench_tracer_covers_every_layer():
         assert wl.check(inputs, 0, out) is None
         assert stagetrace.coverage_gaps(snap, name) == [], name
         assert stagetrace.installed_wrappers() == []
+
+
+@pytest.mark.parametrize("name, counts", [
+    # three pair builds over 61 split values, one over 50
+    ("catalog", (3, 61, 3)),
+    ("dickson103_n400", (1, 50, 1)),
+])
+def test_bench_op_checks_fibers_once(name, counts, monkeypatch):
+    # each pair build checks its fibers once, splits each x-value once and
+    # takes div(h) from the fibers: a re-check or a re-split fails a count
+    stagetrace, workloads = _bench_modules()
+    wl = workloads.WORKLOADS[name]
+    inputs = wl.setup(1)
+    checked = []
+
+    def spy(curve, places):
+        checked.append(len(places))
+        return fiber_values(curve, places)
+
+    monkeypatch.setattr(codes, "fiber_values", spy)
+    with stagetrace.Tracer() as tracer:
+        out = wl.op(inputs, 0)
+        snap = tracer.snapshot()
+    assert wl.check(inputs, 0, out) is None
+    assert (len(checked), snap["curve.splitting_type.calls"],
+            snap["curve.principal_divisor.calls"]) == counts
 
 
 def _declared_requirements():
