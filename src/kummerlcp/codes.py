@@ -15,20 +15,22 @@ non-special divisor of degree g, and exhaustive minimum-distance checks.
 
 Codes are evaluated at whole fibers: all m places (a, y_1), ..., (a, y_m)
 above each of T distinct completely split x-values a.  fiber_values checks
-a place list once and returns it as Fibers (the places, their sorted
-x-values xs, each place's column into xs and its y-value); build_code,
-eval_matrix, LinearCode.gen() and the lmd identity of a pair reuse it and
-check nothing again.  A basis element sum_t b_t(x) * y^t takes the value
+a place list once and returns it as Fibers (the curve, the places, their
+sorted x-values xs, each place's column into xs and its y-value);
+build_code, eval_matrix, LinearCode.gen(), lcp_verify and the lmd identity
+of a pair reuse it and check only its curve.  A basis element
+sum_t b_t(x) * y^t takes the value
 sum_t b_t(a) * y_j^t at (a, y_j), so the generator matrix is the k x mT
 x-part matrix R of eval_matrix (entry [i, t * T + j] = b_t(xs[j])) times a
 block-diagonal of invertible Vandermonde matrices V_a[t, j] = y_j^t, and
-has the rank of R.  R is block-diagonal by weight t, except where a row of
-the delta = 1 functional joins two weights, so x_part_rank sums the ranks
-of the weight components: from the denominators when the rows are single
-terms x^j / D(x) (_monomial_rank), else by gf_rank.  Dense gf_rank of a
-whole generator matrix is the test oracle, not a production path.  A code
-stores R only; LinearCode.gen() multiplies the generator matrix out on
-demand.
+has the rank of R.  Row i of R lies in the weight blocks of basis[i]'s
+terms: R is block-diagonal by weight, except where a row of the delta = 1
+functional joins two weights.  x_part_rank reads these components off the
+basis and sums their ranks: from the denominators when the rows are single
+terms x^j / D(x) (_monomial_rank), else by gf_rank of their rows of R.
+Dense gf_rank of a whole generator matrix is the test oracle.  A code
+stores no matrix: lcp_verify evaluates only the rows that fall back to
+gf_rank, and LinearCode.gen() evaluates on demand.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     FormulaMismatch,
+    InvalidPlace,
     LengthMismatch,
     NotNonSpecial,
     NotWholeFibers,
@@ -270,6 +273,7 @@ def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
 class Fibers(NamedTuple):
     """Evaluation places that fiber_values found to be whole fibers."""
 
+    curve: KummerCurve  # the curve they were checked on
     places: list        # the places as given
     xs: np.ndarray      # the T sorted x-values
     col: np.ndarray     # each place's index into xs
@@ -291,13 +295,15 @@ def fiber_values(curve: KummerCurve, places: list[Place]) -> Fibers:
             raise NotWholeFibers(
                 f"x = {a} carries {len(ys)} places with {len(set(ys))} distinct "
                 f"y-values, not the m = {curve.m} of a whole fiber")
-    return Fibers(places, *curve.split_coordinates(places))
+    return Fibers(curve, places, *curve.split_coordinates(places))
 
 
-def _require_fibers(fibers) -> Fibers:
-    if isinstance(fibers, Fibers):
-        return fibers
-    raise TypeError("evaluate at Fibers, built by fiber_values(curve, places)")
+def _require_fibers(curve: KummerCurve, fibers) -> Fibers:
+    if not isinstance(fibers, Fibers):
+        raise TypeError("evaluate at Fibers, built by fiber_values(curve, places)")
+    if fibers.curve is not curve and fibers.curve.to_json() != curve.to_json():
+        raise InvalidPlace("the fibers were checked on another curve")
+    return fibers
 
 
 def split_place_list(curve: KummerCurve, a_values) -> Fibers:
@@ -331,7 +337,7 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     number of denominators, not of terms.
     """
     F = curve.field
-    xs = _require_fibers(fibers).xs
+    xs = _require_fibers(curve, fibers).xs
     T, m = len(xs), curve.m
     out = np.zeros((len(basis), m * T), dtype=np.int64)
     terms = [(i, bf.t, bf.xpow, coeff, bf.factors)
@@ -368,52 +374,46 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     return out
 
 
-def x_part_rank(field: FieldSpec, X: np.ndarray, width: int,
-                basis: list[SpaceElement] | None = None) -> int:
-    """Rank of an x-part matrix whose columns are weight blocks of `width`
-    (the number of x-values).
+def x_part_rank(field: FieldSpec, basis: list[SpaceElement], width: int,
+                rows) -> int:
+    """Rank of eval_matrix of `basis` at `width` x-values, whose rows for
+    the basis indices in the array `members` are rows(members).
 
-    Each row touches the weights whose blocks it is nonzero on; a row that
-    touches several weights joins them into one component.  After permuting
-    rows and columns the matrix is block-diagonal by component, so its rank
-    is the sum of the component ranks.
-
-    X must be eval_matrix of `basis` (basis[i] behind row i) when a basis is
-    given.  A component whose rows are all single terms x^j / D(x) is then
-    ranked from its denominators by _monomial_rank; every other component,
-    and every component when no basis is given, by gf_rank.
+    The basis must already have passed eval_matrix's pole check at these
+    x-values: then no denominator, nor the lcm L of _monomial_rank, vanishes
+    at an x-value.  Row i lies in the weight blocks of basis[i]'s terms, and
+    a row with several weights joins them into one component.  The matrix is
+    block-diagonal by component (a term that vanishes at the x-values only
+    makes the partition coarser), so its rank is the sum of the component
+    ranks: from the denominators by _monomial_rank when the rows are single
+    terms x^j / D(x), else by gf_rank of its rows on its weight columns.
     """
-    rows, cols = X.shape
-    touches = X.reshape(rows, cols // width, width).any(axis=2)
-    label = np.arange(cols // width)
-    for pattern in touches[touches.sum(axis=1) > 1]:
-        joined = label[pattern]
-        label[np.isin(label, joined)] = joined.min()
-    shapes = [None] * rows if basis is None else [_monomial(e) for e in basis]
+    weights = [sorted({bf.t for _, bf in elem.terms}) for elem in basis]
+    label = {t: t for ts in weights for t in ts}
+    for ts in weights:
+        joined = {label[t] for t in ts}
+        if len(joined) > 1:
+            label = {t: min(joined) if c in joined else c for t, c in label.items()}
     rank = 0
-    for comp in np.unique(label):
-        weights = np.flatnonzero(label == comp)
-        members = np.flatnonzero(touches[:, weights].any(axis=1))
-        if not members.size:
-            continue
-        # single-term rows touch one weight, so such a component is one block
-        comp_rank = None
-        if all(shapes[i] is not None for i in members):
-            comp_rank = _monomial_rank(field, [shapes[i] for i in members], width)
+    for comp in sorted(set(label.values())):
+        members = [i for i, ts in enumerate(weights) if ts and label[ts[0]] == comp]
+        shapes = [_monomial(basis[i]) for i in members]
+        comp_rank = None if None in shapes else _monomial_rank(field, shapes, width)
         if comp_rank is None:
-            block_cols = (weights[:, None] * width + np.arange(width)).ravel()
-            comp_rank = gf_rank(field, X[np.ix_(members, block_cols)])
+            block = np.array(sorted(t for t, c in label.items() if c == comp))
+            block_cols = (block[:, None] * width + np.arange(width)).ravel()
+            comp_rank = gf_rank(field, rows(np.array(members))[:, block_cols])
         rank += comp_rank
     return rank
 
 
 def _monomial(elem: SpaceElement):
-    """(factors, j) of a single-term element c * x^j / D(x) * y^t whose
-    denominator D = prod (x - alpha)^r is a polynomial, else None."""
+    """(factors, j) of a single-term element c * x^j / D(x) * y^t with c != 0
+    whose denominator D = prod (x - alpha)^r is a polynomial, else None."""
     if len(elem.terms) != 1:
         return None
-    bf = elem.terms[0][1]
-    if any(r < 0 for _, r in bf.factors):
+    coeff, bf = elem.terms[0]
+    if coeff == 0 or any(r < 0 for _, r in bf.factors):
         return None
     return bf.factors, bf.xpow
 
@@ -504,20 +504,20 @@ class LinearCode:
     divisor_G: Divisor
     designed_distance: int
     basis: list
-    fibers: Fibers                  # the n evaluation places
-    xpart: np.ndarray               # k x n eval_matrix of basis at fibers
+    fibers: Fibers                  # the n evaluation places, and the curve
 
     def gen(self) -> np.ndarray:
-        """The k x n generator matrix, built from xpart on every call.
+        """The k x n generator matrix, evaluated on every call.
 
         Entry [i, j] is basis[i] at fibers.places[j] = (a, y): the sum over
-        t of xpart's weight-t block at a times y^t.
+        t of the weight-t block of eval_matrix at a times y^t.
         """
         F = self.field
         T, col, y_arr = len(self.fibers.xs), self.fibers.col, self.fibers.y
+        X = eval_matrix(self.fibers.curve, self.basis, self.fibers)
         gen = np.zeros((self.k, self.n), dtype=np.int64)
-        for t in range(self.xpart.shape[1] // T):
-            block = self.xpart[:, t * T:(t + 1) * T]
+        for t in range(X.shape[1] // T):
+            block = X[:, t * T:(t + 1) * T]
             rows = np.flatnonzero(block.any(axis=1))
             if rows.size:
                 term = F.mul_arr(block[rows][:, col], F.pow_arr(y_arr, t)[None, :])
@@ -536,7 +536,7 @@ class LinearCode:
 
 def build_code(curve: KummerCurve, G: Divisor, fibers: Fibers) -> LinearCode:
     """Evaluation code of L(G) at whole fibers of split places."""
-    n = len(_require_fibers(fibers).places)
+    n = len(_require_fibers(curve, fibers).places)
     if any(p in G.table for p in fibers.places):
         raise SupportOverlap("supp(G) meets the evaluation divisor")
     deg = G.degree
@@ -549,25 +549,28 @@ def build_code(curve: KummerCurve, G: Divisor, fibers: Fibers) -> LinearCode:
         raise DimensionMismatch(
             f"basis size {len(basis)} != deg - g + 1 = {k}")
     # the generator matrix has the rank of its weight-coordinate matrix
-    xpart = eval_matrix(curve, basis, fibers)
-    if x_part_rank(curve.field, xpart, len(fibers.xs), basis) != k:
+    X = eval_matrix(curve, basis, fibers)
+    if x_part_rank(curve.field, basis, len(fibers.xs), lambda members: X[members]) != k:
         raise DimensionMismatch("generator matrix rank below ell(G)")
-    return LinearCode(curve.field, n, k, G, n - deg, basis, fibers, xpart)
+    return LinearCode(curve.field, n, k, G, n - deg, basis, fibers)
 
 
 def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
     """True iff the two codes intersect trivially and span everything.
 
-    The stacked generator matrix has the rank of the stacked x-part
-    matrices, since both codes share their evaluation places.
+    The stacked generator matrix has the rank of the x-part matrix of the
+    stacked bases, since both codes share their evaluation places; only the
+    rows of components that fall back to gf_rank are evaluated.
     """
     if C.n != E.n or C.field != E.field or C.fibers.places != E.fibers.places:
         raise LengthMismatch("codes must share length, field and places")
+    curve = C.fibers.curve
+    fibers = _require_fibers(curve, E.fibers)
     if C.k + E.k != C.n:
         return False
-    stacked = np.vstack([C.xpart, E.xpart])
-    return x_part_rank(C.field, stacked, len(C.fibers.xs),
-                       C.basis + E.basis) == C.n
+    basis = C.basis + E.basis
+    return x_part_rank(C.field, basis, len(fibers.xs), lambda members: eval_matrix(
+        curve, [basis[i] for i in members], fibers)) == C.n
 
 
 def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:

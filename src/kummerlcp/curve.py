@@ -482,19 +482,15 @@ def _restricted_summand_degree(curve: KummerCurve, n0: int, n, t: int) -> int:
     return deg
 
 
-def ell_invariant(curve: KummerCurve, A: InvariantTuple, shift_t: int | None = None,
+def ell_invariant(curve: KummerCurve, A: InvariantTuple,
                   allow_negative: bool = False) -> int:
-    """dim L(A) for an invariant divisor, by restriction to the subfield.
-
-    With shift_t set, returns only the summand for that power of y.
-    """
+    """dim L(A) for an invariant divisor, by restriction to the subfield."""
     if len(A.n) != curve.r:
         raise LengthMismatch("tuple length does not match curve")
     if not allow_negative and not A.is_effective():
         raise NegativeCoefficient(f"tuple {A} is not effective")
-    ts = range(curve.m) if shift_t is None else [shift_t]
     total = 0
-    for t in ts:
+    for t in range(curve.m):
         deg = _restricted_summand_degree(curve, A.n0, A.n, t)
         if deg >= 0:
             total += deg + 1

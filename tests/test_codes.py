@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -52,6 +55,7 @@ from kummerlcp.errors import (
     UnsupportedShape,
 )
 from kummerlcp.ffield import FieldSpec
+from kummerlcp.instances import f169_curve
 
 
 #: (non-special tuple A, Phi) of the pair on y^8 = x^2 (x^4 + 1), f49 and f169
@@ -296,7 +300,7 @@ def test_build_code_errors(toy9):
                    + Divisor({fibers.places[0]: 1}), fibers)
 
 
-def test_build_code_needs_whole_fibers(toy9, f169):
+def test_build_code_needs_whole_fibers(toy9, f49, f169):
     A = coeffs_all_ones(2, 5)
     G = (invariant_divisor(toy9, A) - Divisor({toy9.q_infinity(): 1})
          + x_pole_divisor(toy9))
@@ -334,8 +338,8 @@ def test_build_code_needs_whole_fibers(toy9, f169):
             eval_matrix(toy9, basis, fiber_values(toy9, bad))
     # a whole fiber of m distinct y-values off the curve: each y above x = 2
     # times the generator g, so y^m = g^m f(2) != f(2)
-    F = f169.field
-    places = split_place_list(f169, completely_split_values(f169)[:6]).places
+    F, values = f169.field, completely_split_values(f169)[:6]
+    places = split_place_list(f169, values).places
     off = [Place("split", a=p.a, y=F.mul(p.y, F.generator)) if p.a == 2 else p
            for p in places]
     G = 4 * x_pole_divisor(f169)
@@ -343,6 +347,19 @@ def test_build_code_needs_whole_fibers(toy9, f169):
         build_code(f169, G, fiber_values(f169, off))
     with pytest.raises(InvalidPlace, match=r"a=2, .* does not lie on the curve"):
         eval_matrix(f169, rr_basis(f169, G), fiber_values(f169, off))
+    # whole fibers checked on another curve: f49's places are not on f169
+    foreign = split_place_list(f49, completely_split_values(f49)[:6])
+    with pytest.raises(InvalidPlace, match="another curve"):
+        build_code(f169, G, foreign)
+    with pytest.raises(InvalidPlace, match="another curve"):
+        eval_matrix(f169, rr_basis(f169, G), foreign)
+    # an equal curve is the same curve, and a pair's codes share theirs
+    code = build_code(f169_curve(), G, split_place_list(f169, values))
+    assert (code.n, code.k) == (48, 20)
+    stray = replace(code, fibers=code.fibers._replace(
+        curve=make_curve(F, 2, [(0, 1), (1, 1), (2, 1)])))
+    with pytest.raises(InvalidPlace, match="another curve"):
+        lcp_verify(code, stray)
 
 
 def scalar_gen(F, basis, places):
@@ -638,66 +655,68 @@ def test_lcp_code_bases_lie_in_their_spaces(f169):
 # The x-part rank against dense elimination of the generator matrix
 # ---------------------------------------------------------------------------
 
+def basis_rank(basis, fibers):
+    """x_part_rank of basis at fibers, evaluating only the rows it asks for,
+    as lcp_verify does."""
+    curve = fibers.curve
+    return x_part_rank(curve.field, basis, len(fibers.xs), lambda members: eval_matrix(
+        curve, [basis[i] for i in members], fibers))
+
+
 def stacked_pair(pair):
-    """The pair's stacked x-part and generator matrices."""
-    return (np.vstack([pair.C.xpart, pair.E.xpart]),
-            np.vstack([pair.C.gen(), pair.E.gen()]))
+    """The pair's stacked bases and generator matrices."""
+    return pair.C.basis + pair.E.basis, np.vstack([pair.C.gen(), pair.E.gen()])
 
 
 def test_x_part_rank_coupling_rows(f169):
     pair = lcp_build_regime(f169, "lambda_two", s=2)
-    F, m, T = f169.field, f169.m, 28
-    X, gen = stacked_pair(pair)
+    F, m, T, fibers = f169.field, f169.m, 28, pair.C.fibers
+    basis, gen = stacked_pair(pair)
+    X = eval_matrix(f169, basis, fibers)
     weights = X.reshape(len(X), m, T).any(axis=2).sum(axis=1)
     coupling = np.flatnonzero(weights > 1)
     assert len(coupling) == 2  # the delta = 1 functional's rows
-    basis = pair.C.basis + pair.E.basis
     assert all(len(basis[i].terms) > 1 for i in coupling)
     for code in (pair.C, pair.E):
-        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen()) == code.k
-        assert x_part_rank(F, code.xpart, T, code.basis) == code.k
-    assert x_part_rank(F, X, T) == gf_rank(F, gen) == 224
-    assert x_part_rank(F, X, T, basis) == 224
+        assert basis_rank(code.basis, fibers) == gf_rank(F, code.gen()) == code.k
+    # rows from the whole matrix, as build_code passes them, or evaluated
+    # on demand, as lcp_verify does
+    assert x_part_rank(F, basis, T, lambda members: X[members]) \
+        == basis_rank(basis, fibers) == gf_rank(F, gen) == 224
     # rank-deficient stacks: a repeated coupling row or basis row adds
     # nothing, and one code's rows twice have the rank of that code
     for extra in (coupling[:1], coupling, [0]):
-        assert x_part_rank(F, np.vstack([X, X[extra]]), T) \
-            == gf_rank(F, np.vstack([gen, gen[extra]])) == 224
-        rows = list(range(len(X))) + list(extra)
-        assert x_part_rank(F, X[rows], T, [basis[i] for i in rows]) == 224
+        rows = list(range(len(basis))) + list(extra)
+        assert basis_rank([basis[i] for i in rows], fibers) \
+            == gf_rank(F, gen[rows]) == 224
     C = pair.C
-    assert x_part_rank(F, np.vstack([C.xpart, C.xpart]), T) \
+    assert basis_rank(C.basis + C.basis, fibers) \
         == gf_rank(F, np.vstack([C.gen(), C.gen()])) == C.k
-    assert x_part_rank(F, np.vstack([C.xpart, C.xpart]), T, C.basis + C.basis) \
-        == C.k
     assert not lcp_verify(C, C)
 
 
 @pytest.mark.parametrize("name", ["toy9", "f49", "f169", "dickson_m8"])
 def test_x_part_rank_deficient_stacks_through_bases(name, request):
     """One code's basis stacked on itself, and a pair missing one E row, ranked
-    with their bases against dense rank of the generator rows."""
+    through their bases against dense rank of the generator rows."""
     curve = request.getfixturevalue(name)
     F = curve.field
-    T = len(completely_split_values(curve))
     if name == "toy9":
         pair = lcp_build_general(curve, coeffs_all_ones(2, 5), [0],
                                  completely_split_values(curve), 2)
     else:
         pair = lcp_build_regime(
             curve, "half_single" if name == "dickson_m8" else "lambda_two", s=1)
-    C, E = pair.C, pair.E
+    C, E, fibers = pair.C, pair.E, pair.C.fibers
     for code in (C, E):
-        assert x_part_rank(F, np.vstack([code.xpart, code.xpart]), T,
-                           code.basis + code.basis) \
+        assert basis_rank(code.basis + code.basis, fibers) \
             == gf_rank(F, np.vstack([code.gen(), code.gen()])) == code.k
-    X, gen = stacked_pair(pair)
-    basis = C.basis + E.basis
+    basis, gen = stacked_pair(pair)
     # the first, a middle and the last row of E: the last leaves its weight
     # with exponents 0..d - 1, the middle one leaves a gap
     for drop in sorted({C.k, C.k + E.k // 2, C.n - 1}):
         keep = [i for i in range(C.n) if i != drop]
-        assert x_part_rank(F, X[keep], T, [basis[i] for i in keep]) \
+        assert basis_rank([basis[i] for i in keep], fibers) \
             == gf_rank(F, gen[keep]) == C.n - 1
 
 
@@ -705,8 +724,8 @@ def fiber_rank_property(curve, A, phi, min_values, data):
     """For a pair on a drawn subset of split values: the x-part rank of each
     code, of the stack, of a code over the other code of another pair, and of
     drawn row selections (repeats allowed) with drawn row combinations
-    appended equals the dense rank of the matching generator rows, both from
-    the matrix alone and with the rows' basis elements."""
+    appended equals the dense rank of the matching generator rows, with the
+    rows taken from a matrix or evaluated on demand."""
     F = curve.field
     split = completely_split_values(curve)
     values = data.draw(st.lists(st.sampled_from(split), min_size=min_values,
@@ -714,23 +733,20 @@ def fiber_rank_property(curve, A, phi, min_values, data):
     first, last = s_interval(curve, len(values) * curve.m, len(phi))
     s = data.draw(st.integers(first, last), label="s")
     pair = lcp_build_general(curve, A, phi, values, s)
-    T = len(values)
+    T, fibers = len(values), pair.C.fibers
     for code in (pair.C, pair.E):
-        assert x_part_rank(F, code.xpart, T) == gf_rank(F, code.gen()) == code.k
-        assert x_part_rank(F, code.xpart, T, code.basis) == code.k
-    X, gen = stacked_pair(pair)
-    basis = pair.C.basis + pair.E.basis
-    assert x_part_rank(F, X, T) == gf_rank(F, gen) == pair.C.n
-    assert x_part_rank(F, X, T, basis) == pair.C.n
+        assert basis_rank(code.basis, fibers) == gf_rank(F, code.gen()) == code.k
+    basis, gen = stacked_pair(pair)
+    assert basis_rank(basis, fibers) == gf_rank(F, gen) == pair.C.n
     assert pair.verified
     # C over the E of another admissible s: its denominators may divide
     # (deg c = 0) and its degree may reach T (elimination)
     other = lcp_build_general(curve, A, phi, values,
                               data.draw(st.integers(first, last), label="s2"))
     for top, bottom in ((pair.C, other.E), (other.C, pair.E)):
-        assert x_part_rank(F, np.vstack([top.xpart, bottom.xpart]), T,
-                           top.basis + bottom.basis) \
+        assert basis_rank(top.basis + bottom.basis, fibers) \
             == gf_rank(F, np.vstack([top.gen(), bottom.gen()]))
+    X = eval_matrix(curve, basis, fibers)
     row = st.integers(0, len(X) - 1)
     rows = data.draw(st.lists(row, min_size=1, max_size=len(X)), label="rows")
     combos = data.draw(st.lists(st.tuples(row, row, st.integers(1, F.q - 1)),
@@ -742,9 +758,9 @@ def fiber_rank_property(curve, A, phi, min_values, data):
         sub_gen.append(F.add_arr(gen[i], F.mul_arr(gen[j], c))[None, :])
         sub_basis.append(SpaceElement(basis[i].terms + tuple(
             (F.mul(c, a), bf) for a, bf in basis[j].terms)))
-    assert x_part_rank(F, np.vstack(sub_X), T) == gf_rank(F, np.vstack(sub_gen))
-    assert x_part_rank(F, np.vstack(sub_X), T, sub_basis) \
-        == gf_rank(F, np.vstack(sub_gen))
+    sub_X = np.vstack(sub_X)
+    assert x_part_rank(F, sub_basis, T, lambda members: sub_X[members]) \
+        == basis_rank(sub_basis, fibers) == gf_rank(F, np.vstack(sub_gen))
 
 
 @settings(max_examples=25, **PROPERTY_SETTINGS)
@@ -794,9 +810,7 @@ def monomial_rank_property(curve, data):
         [basis[i] for i in repeats]
     if not basis:
         return
-    X = eval_matrix(curve, basis, fibers)
-    assert x_part_rank(F, X, T, basis) \
-        == gf_rank(F, scalar_gen(F, basis, fibers.places)) == x_part_rank(F, X, T)
+    assert basis_rank(basis, fibers) == gf_rank(F, scalar_gen(F, basis, fibers.places))
 
 
 @settings(max_examples=60, **PROPERTY_SETTINGS)
@@ -824,12 +838,13 @@ def rank_calls(monkeypatch):
     return shapes
 
 
-def test_monomial_rank_branches(f49, rank_calls):
+def test_monomial_rank_branches(f49, zero_split, rank_calls):
     # T = 4 split values of f49; denominators over its first two branch points
     F = f49.field
     values = completely_split_values(f49)[:4]
     fibers = split_place_list(f49, values)
     a, b = f49.alphas[:2]
+    one, x = BasisFunction(0, 0, ()), BasisFunction(0, 1, ())
     cases = [
         # one denominator, d + 1 = 6 > T: the Vandermonde rank min(d + 1, T)
         (monomial_rows(0, ((a, 2),), range(6)), 4, []),
@@ -844,19 +859,29 @@ def test_monomial_rank_branches(f49, rank_calls):
         (monomial_rows(0, ((a, 1),), range(4)) + monomial_rows(0, ((b, 1),), range(4)),
          4, [(8, 4)]),
         # two terms in a row, or a third denominator: elimination
-        ([SpaceElement(((1, BasisFunction(0, 0, ())), (1, BasisFunction(0, 1, ()))))],
-         1, [(1, 4)]),
+        ([SpaceElement(((1, one), (1, x)))], 1, [(1, 4)]),
         (monomial_rows(0, (), range(1)) + monomial_rows(0, ((a, 1),), range(1))
          + monomial_rows(0, ((b, 1),), range(1)), 3, [(3, 4)]),
         # a factor with r < 0 is a numerator, here zero at an x-value
         (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 4)]),
+        # rows whose terms put them in a weight they are zero on: a zero
+        # coefficient (the closed form would count 1) and two terms that cancel
+        ([SpaceElement(((0, one),))], 0, [(1, 4)]),
+        ([SpaceElement(((1, x), (F.neg(1), x)))], 0, [(1, 4)]),
     ]
     for basis, want, calls in cases:
         rank_calls.clear()
         X = eval_matrix(f49, basis, fibers)
-        assert x_part_rank(F, X, 4, basis) \
+        assert x_part_rank(F, basis, 4, lambda members: X[members]) \
             == gf_rank(F, scalar_gen(F, basis, fibers.places)) == want
         assert rank_calls == calls
+    # the term x at the single x-value 0: exponents {1}, not 0..d
+    F, fibers = zero_split.field, split_place_list(zero_split, [0])
+    basis = [SpaceElement.single(x)]
+    rank_calls.clear()
+    assert basis_rank(basis, fibers) \
+        == gf_rank(F, scalar_gen(F, basis, fibers.places)) == 0
+    assert rank_calls == [(1, 1)]
 
 
 def test_dickson103_n400_eliminates_remainders_only(dickson103, rank_calls):
@@ -908,7 +933,18 @@ def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls
 
 
 def test_dickson103_pair_n2400(dickson103):
+    # no code keeps its k x n x-part matrix and lcp_verify stacks none: the
+    # pair retains ~1 MiB (a stored matrix is 43.5 MiB), and the build peaks
+    # once, at C's matrix of 8 k_C n bytes and the temporaries evaluating it
     values = completely_split_values(dickson103)[:300]
-    pair = lcp_build_regime(dickson103, "half_single", split_values=values)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = lcp_build_regime(dickson103, "half_single", split_values=values)
+        retained, peak = (b - before for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
     assert (pair.C.n, pair.C.k, pair.E.k) == (2400, 2376, 24)
     assert pair.verified and pair.gcd_identity and pair.lmd_identity
+    assert retained < 8 * 2**20
+    assert peak < 1.75 * 8 * pair.C.k * pair.C.n

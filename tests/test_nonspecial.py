@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from kummerlcp import (
     InvariantTuple,
@@ -26,6 +27,10 @@ from kummerlcp.errors import (
 )
 from kummerlcp.instances import EX37_TUPLES
 from kummerlcp.nonspecial import bulk_verdicts, overflow_set, search_cap
+
+#: a failing example is reported as drawn, without a shrink phase
+PROPERTY_SETTINGS = dict(deadline=None, derandomize=True,
+                         phases=(Phase.explicit, Phase.generate))
 
 
 def random_curves(seed, count, m_range=(2, 10), r_range=(2, 5)):
@@ -135,6 +140,34 @@ def test_modes_agree_and_match_dimension_oracle():
                 deg = deg + (np.arange(e_i, dtype=np.int64) * d_i).reshape(sh)
             oracle = (deg == c.genus) & (ell == 1)
             assert np.array_equal(cond3, oracle)
+
+
+#: abstract curves y^m = prod (x - alpha_i)^lambda_i, m in 2..12, r in 2..5,
+#: with gcd(m, lambda_1, ..., lambda_r) = 1
+abstract_curves = st.integers(2, 12).flatmap(
+    lambda m: st.lists(st.integers(1, m - 1), min_size=2, max_size=5)
+    .filter(lambda lambdas: math.gcd(m, *lambdas) == 1)
+    .map(lambda lambdas: make_curve(None, m, lambdas)))
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(c=abstract_curves, data=st.data())
+def test_modes_agree_on_drawn_curves(c, data):
+    # cond2 and cond3 agree on the whole box of every n0, and criterion_check
+    # agrees with both on a drawn tuple and on a drawn non-special one
+    for n0 in range(c.ram.e_inf):
+        cond2, cond3 = bulk_verdicts(c, n0)
+        assert np.array_equal(cond2, cond3)
+    n0 = data.draw(st.integers(0, c.ram.e_inf - 1), label="n0")
+    cond2, cond3 = bulk_verdicts(c, n0)
+    drawn = [tuple(data.draw(st.integers(0, e - 1), label="n_i") for e in c.ram.e)]
+    hits = [tuple(int(v) for v in idx) for idx in np.argwhere(cond3)]
+    if hits:
+        drawn.append(data.draw(st.sampled_from(hits), label="hit"))
+    for idx in drawn:
+        tup = InvariantTuple(n0, idx)
+        assert criterion_check(c, tup, mode="cond2").passed \
+            == criterion_check(c, tup, mode="cond3").passed == cond2[idx] == cond3[idx]
 
 
 def test_criterion_permutation_symmetry(ex37_curve):
