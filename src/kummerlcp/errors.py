@@ -76,10 +76,6 @@ class SearchSpaceTooLarge(KummerError):
     """Enumeration space exceeds the configured cap."""
 
 
-class NoSolution(KummerError):
-    """The counting condition for the requested coefficient family fails."""
-
-
 class RegimeViolation(KummerError):
     """Parameters fall outside the requested regime, mode or family."""
 

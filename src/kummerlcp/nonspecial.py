@@ -6,6 +6,12 @@ enumeration of all such tuples, and closed-form coefficient families for
 the lambda patterns (1,...,1), (1,...,1,m/2), (1,...,1,m/2,m/2) and
 (1,...,1,2).
 
+The criterion depends on the curve only through the residues j * lambda_i
+mod m (j = 1..m-1): one (m-1) x r table of them gives every bound B(n0, j)
+and every overflow set C(n0, j).  The scalar check reads all rows of that
+table at once; the bulk check sums the counts of all j over the whole box,
+one slice per index of its leading axes when the box is large.
+
 Everything here is purely combinatorial in (m, lambda_1, ..., lambda_r);
 abstract curves are accepted everywhere.
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,13 +31,13 @@ from .errors import (
     JOutOfRange,
     LengthMismatch,
     NkNotPositive,
-    NoSolution,
     RegimeViolation,
     SearchSpaceTooLarge,
     UsageError,
 )
 
 DEFAULT_SEARCH_CAP = 10**8
+#: values (m-1 per tuple) that bulk_verdicts holds at once before slicing
 _BULK_CELL_LIMIT = 1 << 22
 
 
@@ -38,26 +45,49 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def bound_B(curve: KummerCurve, n0: int, j: int) -> int:
-    """The per-j upper bound on how many coefficients may 'overflow'."""
+def _residues(curve: KummerCurve) -> np.ndarray:
+    """The (m-1) x r table of j * lambda_i mod m, row j-1 for j = 1..m-1,
+    with each residue taken in [1, m]: a zero residue reads m."""
+    return (np.outer(np.arange(1, curve.m), curve.lambdas) - 1) % curve.m + 1
+
+
+def _bounds(curve: KummerCurve, n0: int, res: np.ndarray) -> list[int]:
+    """B(n0, j) for j = 1..m-1 as exact ints.
+
+    -j * lambda_i mod m is m - res_ji, so B = -1 + ceil((sum_i (-j lambda_i
+    mod m) - n0 d_inf) / m) reads r - 1 - floor((sum_i res_ji + n0 d_inf) / m).
+    """
+    shift = n0 * curve.ram.d_inf
+    return [curve.r - 1 - (s + shift) // curve.m
+            for s in res.sum(axis=1).tolist()]
+
+
+def _overflows(curve: KummerCurve, n, res: np.ndarray) -> np.ndarray:
+    """Boolean (m-1) x r table: i lies in C(n0, j) iff n_i d_i >= res_ji,
+    where a zero residue (read as m) lies in no C."""
+    if len(n) != curve.r:
+        raise LengthMismatch("tuple length does not match curve")
+    # clipping n_i d_i to [0, m-1] keeps every comparison with a residue
+    # in [1, m] and lets an int of any size or sign into the array
+    return res <= [min(max(ni * di, 0), curve.m - 1)
+                   for ni, di in zip(n, curve.ram.d)]
+
+
+def _row(curve: KummerCurve, j: int) -> int:
     if not 1 <= j < curve.m:
         raise JOutOfRange(f"j={j} outside [1, {curve.m})")
-    m = curve.m
-    s = sum((-j * lam) % m for lam in curve.lambdas)
-    return -1 + _ceil_div(s - n0 * curve.ram.d_inf, m)
+    return j - 1
+
+
+def bound_B(curve: KummerCurve, n0: int, j: int) -> int:
+    """The per-j upper bound on how many coefficients may 'overflow'."""
+    return _bounds(curve, n0, _residues(curve))[_row(curve, j)]
 
 
 def overflow_set(curve: KummerCurve, tup: InvariantTuple, j: int) -> list[int]:
     """C(n0, j): indices i with n_i * d_i >= (j * lambda_i mod m) > 0."""
-    if not 1 <= j < curve.m:
-        raise JOutOfRange(f"j={j} outside [1, {curve.m})")
-    m = curve.m
-    out = []
-    for i, (ni, di, lam) in enumerate(zip(tup.n, curve.ram.d, curve.lambdas)):
-        res = (j * lam) % m
-        if res > 0 and ni * di >= res:
-            out.append(i)
-    return out
+    row = _row(curve, j)
+    return np.flatnonzero(_overflows(curve, tup.n, _residues(curve))[row]).tolist()
 
 
 @dataclass
@@ -95,21 +125,15 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
     """
     if mode not in ("cond2", "cond3"):
         raise RegimeViolation(f"unknown mode {mode!r}")
-    if len(tup.n) != curve.r:
-        raise LengthMismatch("tuple length does not match curve")
+    res = _residues(curve)
+    counts = _overflows(curve, tup.n, res).sum(axis=1).tolist()
     ram = curve.ram
     bounds_ok = (tup.is_effective() and tup.n0 < ram.e_inf
                  and all(ni < ei for ni, ei in zip(tup.n, ram.e)))
     degree = tup.degree(curve)
-    rows = []
-    all_rows_ok = True
-    for j in range(1, curve.m):
-        b = bound_B(curve, tup.n0, j)
-        c = len(overflow_set(curve, tup, j))
-        row_ok = (c <= b) if mode == "cond2" else (c == b)
-        rows.append((j, b, c, row_ok))
-        all_rows_ok = all_rows_ok and row_ok
-    ok = bounds_ok and all_rows_ok
+    rows = [(j, b, c, c <= b if mode == "cond2" else c == b)
+            for j, (b, c) in enumerate(zip(_bounds(curve, tup.n0, res), counts), 1)]
+    ok = bounds_ok and all(row_ok for *_, row_ok in rows)
     if mode == "cond2":
         ok = ok and degree == curve.genus
     verdict = "nonspecial_deg_g" if ok else "fails"
@@ -120,66 +144,45 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
 # Bulk evaluation over the whole bounded coefficient box
 # ---------------------------------------------------------------------------
 
-def _bulk_leaf(ind, B, dvec, c_off, deg_off, g):
-    """Verdict arrays over the remaining axes with fixed leading offsets."""
-    shape = tuple(len(v) for v in dvec)
-    naxes = len(shape)
-    eq = np.ones(shape, dtype=bool)
-    le = np.ones(shape, dtype=bool)
-    for j_idx, vecs in enumerate(ind):
-        cnt = np.zeros((), dtype=np.int64) + c_off[j_idx]
-        for axis, vec in enumerate(vecs):
-            sh = [1] * naxes
-            sh[axis] = len(vec)
-            cnt = cnt + vec.reshape(sh)
-        eq &= cnt == B[j_idx]
-        le &= cnt <= B[j_idx]
-    deg = np.zeros((), dtype=np.int64) + deg_off
-    for axis, vec in enumerate(dvec):
-        sh = [1] * naxes
-        sh[axis] = len(vec)
-        deg = deg + vec.reshape(sh)
-    return le & (deg == g), eq
-
-
-def _bulk_rec(ind, B, dvec, c_off, deg_off, g, limit):
-    shape = tuple(len(v) for v in dvec)
-    if math.prod(shape) <= limit or len(shape) == 1:
-        return _bulk_leaf(ind, B, dvec, c_off, deg_off, g)
-    cond2 = np.empty(shape, dtype=bool)
-    cond3 = np.empty(shape, dtype=bool)
-    for v in range(shape[0]):
-        sub_ind = [vecs[1:] for vecs in ind]
-        sub_off = [c_off[j] + int(ind[j][0][v]) for j in range(len(ind))]
-        c2, c3 = _bulk_rec(sub_ind, B, dvec[1:], sub_off,
-                           deg_off + int(dvec[0][v]), g, limit)
-        cond2[v], cond3[v] = c2, c3
-    return cond2, cond3
-
-
-def bulk_verdicts(curve: KummerCurve, n0: int, limit: int = _BULK_CELL_LIMIT):
+def bulk_verdicts(curve: KummerCurve, n0: int):
     """Criterion verdicts for every tuple with the given n0.
 
     Returns (cond2, cond3): boolean arrays of shape (e_1, ..., e_r); entry
     [n_1, ..., n_r] is the verdict for (n0; n_1, ..., n_r).  The coefficient
     bounds hold automatically inside the box, so cond2 here is degree == g
     plus all counts <= bounds, and cond3 is all counts == bounds.
+
+    The excess |C(n0, j)| - B(n0, j) of all j is summed at once in int8: it
+    lies in [-r-1, r+1], and r <= 64, numpy's limit on axes.  While the m-1
+    excesses per tuple of the remaining axes exceed _BULK_CELL_LIMIT, one
+    more leading axis is fixed and walked index by index.
     """
-    m = curve.m
-    ram = curve.ram
-    ind = []
-    B = []
-    for j in range(1, m):
-        vecs = []
-        for di, lam, ei in zip(ram.d, curve.lambdas, ram.e):
-            res = (j * lam) % m
-            ni = np.arange(ei, dtype=np.int64)
-            vecs.append(((res > 0) & (ni * di >= res)).astype(np.int64))
-        ind.append(vecs)
-        B.append(bound_B(curve, n0, j))
-    dvec = [np.arange(ei, dtype=np.int64) * di for ei, di in zip(ram.e, ram.d)]
-    return _bulk_rec(ind, B, dvec, [0] * len(ind), n0 * ram.d_inf,
-                     curve.genus, limit)
+    m, r, ram = curve.m, curve.r, curve.ram
+    res = _residues(curve)
+    # hit[i][j-1, v] = 1 iff n_i = v puts i in C(n0, j)
+    hit = [(res[:, i, None] <= np.arange(e) * d).astype(np.int8)
+           for i, (e, d) in enumerate(zip(ram.e, ram.d))]
+    # counts lie in [0, r], so clipping B to [-1, r + 1] keeps == and <=
+    bound = np.array([min(max(b, -1), r + 1) for b in _bounds(curve, n0, res)],
+                     dtype=np.int8)
+    lead = 0
+    while lead < r - 1 and (m - 1) * math.prod(ram.e[lead:]) > _BULK_CELL_LIMIT:
+        lead += 1
+    grid = np.ix_(*(range(e) for e in ram.e[lead:]))
+    tail_deg = sum(g * d for g, d in zip(grid, ram.d[lead:]))
+    column = (m - 1,) + (1,) * (r - lead)
+    cond2 = np.empty(ram.e, dtype=bool)
+    cond3 = np.empty(ram.e, dtype=bool)
+    for idx in np.ndindex(*ram.e[:lead]):
+        start = sum((h[:, v] for h, v in zip(hit, idx)), -bound).reshape(column)
+        # last axis first, so that each sum adds its axis in long runs
+        excess = sum(reversed([h[:, g] for h, g in zip(hit[lead:], grid)]), start)
+        deg = curve.genus - n0 * ram.d_inf - sum(v * d for v, d in zip(idx, ram.d))
+        # folding whole rows is several times faster than numpy's
+        # element-wise reduction over a short leading axis
+        cond2[idx] = (reduce(np.maximum, excess) <= 0) & (tail_deg == deg)
+        cond3[idx] = reduce(np.bitwise_or, excess) == 0
+    return cond2, cond3
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +213,8 @@ def _canonical(curve: KummerCurve, tup: InvariantTuple) -> InvariantTuple:
     return InvariantTuple(tup.n0, tuple(n))
 
 
-def enumerate_nonspecial(curve: KummerCurve, dedup: bool = False,
-                         cap: int | None = None) -> list[InvariantTuple]:
+def enumerate_nonspecial(curve: KummerCurve,
+                         dedup: bool = False) -> list[InvariantTuple]:
     """All effective invariant non-special tuples of degree g, lexicographic.
 
     With dedup, returns one canonical representative (coefficients sorted
@@ -219,9 +222,9 @@ def enumerate_nonspecial(curve: KummerCurve, dedup: bool = False,
     """
     ram = curve.ram
     space = ram.e_inf * math.prod(ram.e)
-    limit = cap if cap is not None else search_cap()
-    if space > limit:
-        raise SearchSpaceTooLarge(f"search space {space} exceeds cap {limit}")
+    cap = search_cap()
+    if space > cap:
+        raise SearchSpaceTooLarge(f"search space {space} exceeds cap {cap}")
     out = []
     seen = set()
     for n0 in range(ram.e_inf):
@@ -257,14 +260,6 @@ def coeffs_all_ones(m: int, r: int) -> InvariantTuple:
         raise RegimeViolation(f"need m >= 2, r >= 1, got m={m}, r={r}")
     curve = make_curve(None, m, [1] * r)
     n = tuple(max(0, _ceil_div(m * (i - 1), r) - 1) for i in range(1, r + 1))
-    counts = [sum(1 for ni in n if ni == j) for j in range(m)]
-    for j in range(1, m):
-        want = bound_B(curve, 0, j)
-        if j < m - 1:
-            want -= bound_B(curve, 0, j + 1)
-        if counts[j] != want:
-            raise NoSolution(
-                f"counting condition fails at j={j}: {counts[j]} != {want}")
     return _verify(curve, InvariantTuple(0, n), "coeffs_all_ones")
 
 

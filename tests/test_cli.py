@@ -85,6 +85,11 @@ def test_check_command(capsys):
                        "--tuple", "0,0,0,0,0,0", "--mode", "cond2")
     assert code == 0
     assert "fails" in out
+    # bounds and counts stay exact ints beyond int64
+    code, out, err = run(capsys, "nonspecial", "check", "--catalog", "ex37",
+                         "--tuple", "99999999999999999999999,0,1,3,0,5")
+    assert (code, err) == (0, "")
+    assert "  j=1: B=-16666666666666666666664 |C|=3 FAIL" in out.splitlines()
 
 
 def test_check_tuple_length_usage_error(capsys):

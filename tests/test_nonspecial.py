@@ -16,6 +16,7 @@ from kummerlcp import (
     criterion_check,
     enumerate_nonspecial,
     make_curve,
+    nonspecial,
 )
 from kummerlcp.curve import ell_invariant_bulk
 from kummerlcp.errors import (
@@ -87,6 +88,8 @@ def test_overflow_set_examples(ex37_curve):
     assert overflow_set(ex37_curve, InvariantTuple(0, (0, 0, 0, 0, 0)), 1) == []
     with pytest.raises(JOutOfRange):
         overflow_set(ex37_curve, tup, 0)
+    with pytest.raises(LengthMismatch):
+        overflow_set(ex37_curve, InvariantTuple(0, (0, 1, 3)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def test_criterion_bad_inputs(ex37_curve):
     assert not out_of_box.bounds_ok and not out_of_box.passed
 
 
-def test_modes_agree_and_match_dimension_oracle():
+def test_modes_agree_and_match_dimension_oracle(monkeypatch):
     # cond2 and cond3 give the same verdict, and both coincide with the
     # direct dimension computation: degree g and dim L(A) = 1
     for c in random_curves(2024, 40):
@@ -125,13 +128,15 @@ def test_modes_agree_and_match_dimension_oracle():
             cond2, cond3 = bulk_verdicts(c, n0)
             assert np.array_equal(cond2, cond3)
             # no box here reaches the default cell limit, so only a smaller
-            # limit runs the leading-axis split; limit 1 splits down to one
-            # axis, ~5 s over every n0, so it runs at n0 = 0 only
-            box = math.prod(c.ram.e)
-            for limit in [box // 3 + 1] + [1] * (n0 == 0):
-                split2, split3 = bulk_verdicts(c, n0, limit=limit)
+            # limit walks leading axes: (m-1) * prod(e[k:]) walks exactly k
+            # of them, for every depth k = 0..r-1
+            for k in range(c.r):
+                monkeypatch.setattr(nonspecial, "_BULK_CELL_LIMIT",
+                                    (c.m - 1) * math.prod(c.ram.e[k:]))
+                split2, split3 = bulk_verdicts(c, n0)
                 assert np.array_equal(split2, cond2)
                 assert np.array_equal(split3, cond3)
+            monkeypatch.undo()
             ell = ell_invariant_bulk(c, n0)
             deg = np.zeros((), dtype=np.int64) + n0 * c.ram.d_inf
             for axis, (e_i, d_i) in enumerate(zip(c.ram.e, c.ram.d)):
@@ -142,16 +147,17 @@ def test_modes_agree_and_match_dimension_oracle():
             assert np.array_equal(cond3, oracle)
 
 
-#: abstract curves y^m = prod (x - alpha_i)^lambda_i, m in 2..12, r in 2..5,
-#: with gcd(m, lambda_1, ..., lambda_r) = 1
-abstract_curves = st.integers(2, 12).flatmap(
-    lambda m: st.lists(st.integers(1, m - 1), min_size=2, max_size=5)
-    .filter(lambda lambdas: math.gcd(m, *lambdas) == 1)
-    .map(lambda lambdas: make_curve(None, m, lambdas)))
+def curves_with_r(min_r):
+    """Abstract curves y^m = prod (x - alpha_i)^lambda_i, m in 2..12, r in
+    min_r..5, with gcd(m, lambda_1, ..., lambda_r) = 1."""
+    return st.integers(2, 12).flatmap(
+        lambda m: st.lists(st.integers(1, m - 1), min_size=min_r, max_size=5)
+        .filter(lambda lambdas: math.gcd(m, *lambdas) == 1)
+        .map(lambda lambdas: make_curve(None, m, lambdas)))
 
 
 @settings(max_examples=100, **PROPERTY_SETTINGS)
-@given(c=abstract_curves, data=st.data())
+@given(c=curves_with_r(2), data=st.data())
 def test_modes_agree_on_drawn_curves(c, data):
     # cond2 and cond3 agree on the whole box of every n0, and criterion_check
     # agrees with both on a drawn tuple and on a drawn non-special one
@@ -168,6 +174,51 @@ def test_modes_agree_on_drawn_curves(c, data):
         tup = InvariantTuple(n0, idx)
         assert criterion_check(c, tup, mode="cond2").passed \
             == criterion_check(c, tup, mode="cond3").passed == cond2[idx] == cond3[idx]
+
+
+def oracle_bound(c, n0, j):
+    """B(n0, j) = -1 + ceil((sum_i (-j lambda_i mod m) - n0 d_inf) / m)."""
+    s = sum((-j * lam) % c.m for lam in c.lambdas)
+    return -1 - ((n0 * c.ram.d_inf - s) // c.m)
+
+
+def oracle_overflow(c, tup, j):
+    """C(n0, j): indices i with n_i * d_i >= (j * lambda_i mod m) > 0."""
+    out = []
+    for i, (ni, di, lam) in enumerate(zip(tup.n, c.ram.d, c.lambdas)):
+        res = (j * lam) % c.m
+        if res > 0 and ni * di >= res:
+            out.append(i)
+    return out
+
+
+#: coefficients inside and outside the box, negative and beyond int64
+coefficients = st.integers(-3, 14) | st.integers(-2**70, 2**70)
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(c=curves_with_r(1), data=st.data())
+def test_criterion_rows_match_per_j_oracle(c, data):
+    # the residue table gives the same bounds, overflow sets and report rows
+    # as the per-j formulas, as exact Python ints for any coefficient size
+    tup = InvariantTuple(data.draw(coefficients, label="n0"),
+                         tuple(data.draw(coefficients, label="n_i")
+                               for _ in range(c.r)))
+    expected = [(j, oracle_bound(c, tup.n0, j), len(oracle_overflow(c, tup, j)))
+                for j in range(1, c.m)]
+    for j, b, _ in expected:
+        assert bound_B(c, tup.n0, j) == b
+        assert overflow_set(c, tup, j) == oracle_overflow(c, tup, j)
+    for mode, holds in (("cond2", int.__le__), ("cond3", int.__eq__)):
+        report = criterion_check(c, tup, mode=mode)
+        assert report.rows == [(j, b, n, holds(n, b)) for j, b, n in expected]
+        assert all(type(v) is int for row in report.rows for v in row[:3])
+        assert all(type(row[3]) is bool for row in report.rows)
+    for j in (0, c.m):
+        with pytest.raises(JOutOfRange):
+            bound_B(c, tup.n0, j)
+        with pytest.raises(JOutOfRange):
+            overflow_set(c, tup, j)
 
 
 def test_criterion_permutation_symmetry(ex37_curve):
@@ -223,8 +274,12 @@ def test_enumeration_all_ones_unique_up_to_order():
 
 def test_search_cap(monkeypatch):
     c = make_curve(None, 6, [1, 1, 1, 3, 5])
+    box = c.ram.e_inf * math.prod(c.ram.e)    # 15552 tuples
+    monkeypatch.setenv("KDL_MAX_SEARCH", str(box - 1))
     with pytest.raises(SearchSpaceTooLarge):
-        enumerate_nonspecial(c, cap=10)
+        enumerate_nonspecial(c)
+    monkeypatch.setenv("KDL_MAX_SEARCH", str(box))
+    assert len(enumerate_nonspecial(c, dedup=True)) == 24
     monkeypatch.setenv("KDL_MAX_SEARCH", "10")
     assert search_cap() == 10
     with pytest.raises(SearchSpaceTooLarge):
@@ -339,13 +394,14 @@ def test_lambda_two_with_positive_n0():
     assert criterion_check(c, tup).passed
 
 
-def test_nonspecial_tuples_have_trivial_space():
+def test_nonspecial_tuples_have_trivial_space(monkeypatch):
     # a passing tuple supports only constants: every shifted summand with
     # t > 0 has negative degree and the t = 0 summand has degree exactly 0
     from kummerlcp.curve import _restricted_summand_degree
 
+    monkeypatch.setenv("KDL_MAX_SEARCH", str(10**6))
     for c in random_curves(77, 25):
-        tuples = enumerate_nonspecial(c, cap=10**6)
+        tuples = enumerate_nonspecial(c)
         for tup in tuples[:5]:
             assert _restricted_summand_degree(c, tup.n0, tup.n, 0) == 0
             for t in range(1, c.m):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kummerlcp import codes
+from kummerlcp import codes, make_curve
 from kummerlcp.cli import main
 from kummerlcp.codes import fiber_values
 
@@ -64,10 +64,14 @@ def test_bench_tracer_covers_every_layer():
     # a refactor that drops or renames a traced function must fail here,
     # not only in the benchmark's traced run
     stagetrace, workloads = _bench_modules()
-    for name in ("catalog", "dickson103_n400"):
+    # the sweep op runs on ex37 alone: its 24 non-special tuples make it
+    # call criterion_check, which a curve with none would skip
+    ex37 = [make_curve(None, 6, [1, 1, 1, 3, 5])]
+    for name in ("catalog", "dickson103_n400", "nonspecial_sweep"):
         wl = workloads.WORKLOADS[name]
         with stagetrace.Tracer() as tracer:
-            inputs = wl.setup(1)
+            inputs = ex37 if name == "nonspecial_sweep" else wl.setup(1)
+            wl.prepare(inputs)
             out = wl.op(inputs, 0)
             snap = tracer.snapshot()
         assert wl.check(inputs, 0, out) is None
