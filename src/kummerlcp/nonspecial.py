@@ -9,8 +9,11 @@ the lambda patterns (1,...,1), (1,...,1,m/2), (1,...,1,m/2,m/2) and
 The criterion depends on the curve only through the residues j * lambda_i
 mod m (j = 1..m-1): one (m-1) x r table of them gives every bound B(n0, j)
 and every overflow set C(n0, j).  The scalar check reads all rows of that
-table at once; the bulk check sums the counts of all j over the whole box,
-one slice per index of its leading axes when the box is large.
+table at once.  The bulk check covers the whole box, n0 included, in one
+call: the counts |C(n0, j)| do not depend on n0, so it sums them once per
+curve and compares them with each n0's bounds, one slice per index of the
+leading axes when the box is large.  Enumeration reads its tuples off that
+one verdict array.
 
 Everything here is purely combinatorial in (m, lambda_1, ..., lambda_r);
 abstract curves are accepted everywhere.
@@ -144,44 +147,51 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
 # Bulk evaluation over the whole bounded coefficient box
 # ---------------------------------------------------------------------------
 
-def bulk_verdicts(curve: KummerCurve, n0: int):
-    """Criterion verdicts for every tuple with the given n0.
+def bulk_verdicts(curve: KummerCurve):
+    """Criterion verdicts for every tuple of the search box.
 
-    Returns (cond2, cond3): boolean arrays of shape (e_1, ..., e_r); entry
-    [n_1, ..., n_r] is the verdict for (n0; n_1, ..., n_r).  The coefficient
-    bounds hold automatically inside the box, so cond2 here is degree == g
-    plus all counts <= bounds, and cond3 is all counts == bounds.
+    Returns (cond2, cond3): boolean arrays of shape (e_inf, e_1, ..., e_r);
+    entry [n0, n_1, ..., n_r] is the verdict for (n0; n_1, ..., n_r).  The
+    coefficient bounds hold automatically inside the box, so cond2 here is
+    degree == g plus all counts <= bounds, and cond3 is all counts == bounds.
 
-    The excess |C(n0, j)| - B(n0, j) of all j is summed at once in int8: it
-    lies in [-r-1, r+1], and r <= 64, numpy's limit on axes.  While the m-1
-    excesses per tuple of the remaining axes exceed _BULK_CELL_LIMIT, one
-    more leading axis is fixed and walked index by index.
+    The counts |C(j)| depend on n_1..n_r alone, so those of all j are summed
+    once, in int8, and then shifted in place from one n0 to the next by the
+    change of the bounds B(n0, j).  The excess |C| - B lies in [-r-1, r+1],
+    and r <= 64, numpy's limit on axes.  While the m-1 counts per tuple of
+    the remaining axes exceed _BULK_CELL_LIMIT, one more leading axis of
+    n_1..n_r is fixed and walked index by index.
     """
     m, r, ram = curve.m, curve.r, curve.ram
     res = _residues(curve)
-    # hit[i][j-1, v] = 1 iff n_i = v puts i in C(n0, j)
+    # hit[i][j-1, v] = 1 iff n_i = v puts i in C(j)
     hit = [(res[:, i, None] <= np.arange(e) * d).astype(np.int8)
            for i, (e, d) in enumerate(zip(ram.e, ram.d))]
     # counts lie in [0, r], so clipping B to [-1, r + 1] keeps == and <=
-    bound = np.array([min(max(b, -1), r + 1) for b in _bounds(curve, n0, res)],
-                     dtype=np.int8)
+    bounds = np.array([[min(max(b, -1), r + 1) for b in _bounds(curve, n0, res)]
+                       for n0 in range(ram.e_inf)], dtype=np.int8)
+    steps = np.diff(bounds, axis=0, prepend=np.int8(0))
     lead = 0
     while lead < r - 1 and (m - 1) * math.prod(ram.e[lead:]) > _BULK_CELL_LIMIT:
         lead += 1
     grid = np.ix_(*(range(e) for e in ram.e[lead:]))
     tail_deg = sum(g * d for g, d in zip(grid, ram.d[lead:]))
     column = (m - 1,) + (1,) * (r - lead)
-    cond2 = np.empty(ram.e, dtype=bool)
-    cond3 = np.empty(ram.e, dtype=bool)
+    cond2 = np.empty((ram.e_inf,) + ram.e, dtype=bool)
+    cond3 = np.empty_like(cond2)
     for idx in np.ndindex(*ram.e[:lead]):
-        start = sum((h[:, v] for h, v in zip(hit, idx)), -bound).reshape(column)
+        start = sum((h[:, v] for h, v in zip(hit, idx)),
+                    np.zeros(m - 1, dtype=np.int8)).reshape(column)
         # last axis first, so that each sum adds its axis in long runs
         excess = sum(reversed([h[:, g] for h, g in zip(hit[lead:], grid)]), start)
-        deg = curve.genus - n0 * ram.d_inf - sum(v * d for v, d in zip(idx, ram.d))
-        # folding whole rows is several times faster than numpy's
-        # element-wise reduction over a short leading axis
-        cond2[idx] = (reduce(np.maximum, excess) <= 0) & (tail_deg == deg)
-        cond3[idx] = reduce(np.bitwise_or, excess) == 0
+        deg = curve.genus - sum(v * d for v, d in zip(idx, ram.d))
+        for n0, step in enumerate(steps):
+            excess -= step.reshape(column)
+            # folding whole rows is several times faster than numpy's
+            # element-wise reduction over a short leading axis
+            cond2[(n0,) + idx] = ((reduce(np.maximum, excess) <= 0)
+                                  & (tail_deg == deg - n0 * ram.d_inf))
+            cond3[(n0,) + idx] = reduce(np.bitwise_or, excess) == 0
     return cond2, cond3
 
 
@@ -200,19 +210,6 @@ def search_cap() -> int:
         raise UsageError(f"KDL_MAX_SEARCH must be an integer, got {raw!r}") from None
 
 
-def _canonical(curve: KummerCurve, tup: InvariantTuple) -> InvariantTuple:
-    """Sort coefficients non-decreasing within each equal-lambda index group."""
-    groups = {}
-    for i, lam in enumerate(curve.lambdas):
-        groups.setdefault(lam, []).append(i)
-    n = list(tup.n)
-    for idxs in groups.values():
-        vals = sorted(n[i] for i in idxs)
-        for i, v in zip(idxs, vals):
-            n[i] = v
-    return InvariantTuple(tup.n0, tuple(n))
-
-
 def enumerate_nonspecial(curve: KummerCurve,
                          dedup: bool = False) -> list[InvariantTuple]:
     """All effective invariant non-special tuples of degree g, lexicographic.
@@ -225,21 +222,15 @@ def enumerate_nonspecial(curve: KummerCurve,
     cap = search_cap()
     if space > cap:
         raise SearchSpaceTooLarge(f"search space {space} exceeds cap {cap}")
-    out = []
-    seen = set()
-    for n0 in range(ram.e_inf):
-        _, cond3 = bulk_verdicts(curve, n0)
-        for idx in np.argwhere(cond3):
-            tup = InvariantTuple(n0, tuple(int(v) for v in idx))
-            if dedup:
-                tup = _canonical(curve, tup)
-                if tup in seen:
-                    continue
-                seen.add(tup)
-            out.append(tup)
+    # rows (n0, n_1, ..., n_r), in C order and so lexicographic
+    rows = np.argwhere(bulk_verdicts(curve)[1])
     if dedup:
-        out.sort(key=lambda t: (t.n0, t.n))
-    return out
+        lambdas = np.array(curve.lambdas)
+        for lam in set(curve.lambdas):
+            cols = 1 + np.flatnonzero(lambdas == lam)
+            rows[:, cols] = np.sort(rows[:, cols], axis=1)
+        rows = np.unique(rows, axis=0)
+    return [InvariantTuple(n0, tuple(n)) for n0, *n in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------

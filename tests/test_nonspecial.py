@@ -124,19 +124,20 @@ def test_modes_agree_and_match_dimension_oracle(monkeypatch):
     # cond2 and cond3 give the same verdict, and both coincide with the
     # direct dimension computation: degree g and dim L(A) = 1
     for c in random_curves(2024, 40):
+        cond2, cond3 = bulk_verdicts(c)
+        assert cond3.shape == (c.ram.e_inf,) + c.ram.e
+        # no box here reaches the default cell limit, so only a smaller
+        # limit walks leading axes: (m-1) * prod(e[k:]) walks exactly k
+        # of them, for every depth k = 0..r-1
+        for k in range(c.r):
+            monkeypatch.setattr(nonspecial, "_BULK_CELL_LIMIT",
+                                (c.m - 1) * math.prod(c.ram.e[k:]))
+            split2, split3 = bulk_verdicts(c)
+            assert np.array_equal(split2, cond2)
+            assert np.array_equal(split3, cond3)
+        monkeypatch.undo()
         for n0 in range(c.ram.e_inf):
-            cond2, cond3 = bulk_verdicts(c, n0)
-            assert np.array_equal(cond2, cond3)
-            # no box here reaches the default cell limit, so only a smaller
-            # limit walks leading axes: (m-1) * prod(e[k:]) walks exactly k
-            # of them, for every depth k = 0..r-1
-            for k in range(c.r):
-                monkeypatch.setattr(nonspecial, "_BULK_CELL_LIMIT",
-                                    (c.m - 1) * math.prod(c.ram.e[k:]))
-                split2, split3 = bulk_verdicts(c, n0)
-                assert np.array_equal(split2, cond2)
-                assert np.array_equal(split3, cond3)
-            monkeypatch.undo()
+            assert np.array_equal(cond2[n0], cond3[n0])
             ell = ell_invariant_bulk(c, n0)
             deg = np.zeros((), dtype=np.int64) + n0 * c.ram.d_inf
             for axis, (e_i, d_i) in enumerate(zip(c.ram.e, c.ram.d)):
@@ -144,7 +145,7 @@ def test_modes_agree_and_match_dimension_oracle(monkeypatch):
                 sh[axis] = e_i
                 deg = deg + (np.arange(e_i, dtype=np.int64) * d_i).reshape(sh)
             oracle = (deg == c.genus) & (ell == 1)
-            assert np.array_equal(cond3, oracle)
+            assert np.array_equal(cond3[n0], oracle)
 
 
 def curves_with_r(min_r):
@@ -161,19 +162,19 @@ def curves_with_r(min_r):
 def test_modes_agree_on_drawn_curves(c, data):
     # cond2 and cond3 agree on the whole box of every n0, and criterion_check
     # agrees with both on a drawn tuple and on a drawn non-special one
+    cond2, cond3 = bulk_verdicts(c)
     for n0 in range(c.ram.e_inf):
-        cond2, cond3 = bulk_verdicts(c, n0)
-        assert np.array_equal(cond2, cond3)
+        assert np.array_equal(cond2[n0], cond3[n0])
     n0 = data.draw(st.integers(0, c.ram.e_inf - 1), label="n0")
-    cond2, cond3 = bulk_verdicts(c, n0)
     drawn = [tuple(data.draw(st.integers(0, e - 1), label="n_i") for e in c.ram.e)]
-    hits = [tuple(int(v) for v in idx) for idx in np.argwhere(cond3)]
+    hits = [tuple(int(v) for v in idx) for idx in np.argwhere(cond3[n0])]
     if hits:
         drawn.append(data.draw(st.sampled_from(hits), label="hit"))
     for idx in drawn:
         tup = InvariantTuple(n0, idx)
         assert criterion_check(c, tup, mode="cond2").passed \
-            == criterion_check(c, tup, mode="cond3").passed == cond2[idx] == cond3[idx]
+            == criterion_check(c, tup, mode="cond3").passed \
+            == cond2[(n0,) + idx] == cond3[(n0,) + idx]
 
 
 def oracle_bound(c, n0, j):
@@ -263,6 +264,38 @@ def test_enumeration_empty_case():
     # m=17, lambda=(1,2): no invariant non-special divisor of degree g exists
     c = make_curve(None, 17, [1, 2])
     assert enumerate_nonspecial(c) == []
+    assert enumerate_nonspecial(c, dedup=True) == []
+
+
+def canonical(c, tup):
+    """Coefficients sorted non-decreasing within each equal-lambda group."""
+    n = list(tup.n)
+    for lam in set(c.lambdas):
+        idxs = [i for i, l in enumerate(c.lambdas) if l == lam]
+        for i, v in zip(idxs, sorted(n[i] for i in idxs)):
+            n[i] = v
+    return InvariantTuple(tup.n0, tuple(n))
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_enumeration_dedup_is_canonical_orbit_set(data):
+    # lambdas from a small pool repeat, so equal-lambda groups occur; the
+    # deduplicated list is the sorted set of canonical forms of the full
+    # list, and the full list is strictly increasing, in Python ints
+    m = data.draw(st.integers(2, 8), label="m")
+    lambdas = data.draw(st.lists(st.sampled_from(range(1, min(m, 4))),
+                                 min_size=1, max_size=4)
+                        .filter(lambda ls: math.gcd(m, *ls) == 1), label="lambdas")
+    c = make_curve(None, m, lambdas)
+    full = enumerate_nonspecial(c)
+    keys = [(t.n0,) + t.n for t in full]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(type(v) is int for key in keys for v in key)
+    deduped = enumerate_nonspecial(c, dedup=True)
+    assert deduped == sorted({canonical(c, t) for t in full},
+                             key=lambda t: (t.n0,) + t.n)
+    assert all(type(v) is int for t in deduped for v in (t.n0,) + t.n)
 
 
 def test_enumeration_all_ones_unique_up_to_order():

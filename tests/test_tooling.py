@@ -105,6 +105,21 @@ def test_bench_op_checks_fibers_once(name, counts, monkeypatch):
             snap["curve.principal_divisor.calls"]) == counts
 
 
+def test_bench_sweep_op_sums_counts_once():
+    # one enumeration makes one bulk call over the whole e_inf * prod(e_i)
+    # box of ex37 (6 * 6 * 6 * 6 * 2 * 6 tuples), not one call per n0
+    stagetrace, workloads = _bench_modules()
+    wl = workloads.WORKLOADS["nonspecial_sweep"]
+    inputs = [make_curve(None, 6, [1, 1, 1, 3, 5])]
+    wl.prepare(inputs)
+    with stagetrace.Tracer() as tracer:
+        out = wl.op(inputs, 0)
+        snap = tracer.snapshot()
+    assert wl.check(inputs, 0, out) is None
+    assert (snap["nonspecial.bulk_verdicts.calls"],
+            snap["nonspecial.bulk_verdicts.cells"]) == (1, 15552)
+
+
 def _declared_requirements():
     """Import names of the dependencies and the test extra in pyproject."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
