@@ -26,11 +26,16 @@ block-diagonal of invertible Vandermonde matrices V_a[t, j] = y_j^t, and
 has the rank of R.  Row i of R lies in the weight blocks of basis[i]'s
 terms: R is block-diagonal by weight, except where a row of the delta = 1
 functional joins two weights.  x_part_rank reads these components off the
-basis and sums their ranks: from the denominators when the rows are single
-terms x^j / D(x) (_monomial_rank), else by gf_rank of their rows of R.
-Dense gf_rank of a whole generator matrix is the test oracle.  A code
-stores no matrix: lcp_verify evaluates only the rows that fall back to
-gf_rank, and LinearCode.gen() evaluates on demand.
+basis and sums their ranks by residue (_residue_rank): per weight, the
+terms become polynomials over the lcm of their denominators, a group of
+single-term rows x^j / D(x), j = 0..d, spans the multiples of one
+polynomial, and every other row leaves its residue modulo that span.  A
+weight whose single-weight rows reach rank T absorbs the delta = 1 parts
+there.  gf_rank ranks the one residue matrix of a component; only an
+unsaturated weight of degree >= T or a numerator factor falls back to
+gf_rank of the component's rows of R.  Dense gf_rank of a whole generator
+matrix is the test oracle.  A code stores no matrix: lcp_verify evaluates
+only the rows that fall back, and LinearCode.gen() evaluates on demand.
 """
 
 from __future__ import annotations
@@ -380,112 +385,181 @@ def x_part_rank(field: FieldSpec, basis: list[SpaceElement], width: int,
     the basis indices in the array `members` are rows(members).
 
     The basis must already have passed eval_matrix's pole check at these
-    x-values: then no denominator, nor the lcm L of _monomial_rank, vanishes
-    at an x-value.  Row i lies in the weight blocks of basis[i]'s terms, and
-    a row with several weights joins them into one component.  The matrix is
+    x-values: then no denominator, nor any lcm of them, vanishes at an
+    x-value.  Row i lies in the weight blocks of basis[i]'s terms, and a row
+    with several weights joins them into one component.  The matrix is
     block-diagonal by component (a term that vanishes at the x-values only
     makes the partition coarser), so its rank is the sum of the component
-    ranks: from the denominators by _monomial_rank when the rows are single
-    terms x^j / D(x), else by gf_rank of its rows on its weight columns.
+    ranks: by residue (_residue_rank), else by gf_rank of the component's
+    rows on its weight columns.
     """
-    weights = [sorted({bf.t for _, bf in elem.terms}) for elem in basis]
-    label = {t: t for ts in weights for t in ts}
-    for ts in weights:
-        joined = {label[t] for t in ts}
-        if len(joined) > 1:
-            label = {t: min(joined) if c in joined else c for t, c in label.items()}
+    label = {}  # weight -> least weight of its component, where joined
+    for elem in basis:
+        if len(elem.terms) > 1:
+            ts = {bf.t for _, bf in elem.terms}
+            joined = {label.get(t, t) for t in ts}
+            low = min(joined)
+            label = {t: low if c in joined else c for t, c in label.items()}
+            label.update(dict.fromkeys(ts, low))
+    components = {}
+    for i, elem in enumerate(basis):
+        if elem.terms:
+            t = elem.terms[0][1].t
+            components.setdefault(label.get(t, t), []).append(i)
     rank = 0
-    for comp in sorted(set(label.values())):
-        members = [i for i, ts in enumerate(weights) if ts and label[ts[0]] == comp]
-        shapes = [_monomial(basis[i]) for i in members]
-        comp_rank = None if None in shapes else _monomial_rank(field, shapes, width)
+    for comp, members in sorted(components.items()):
+        comp_rank = _residue_rank(field, [basis[i] for i in members], width)
         if comp_rank is None:
-            block = np.array(sorted(t for t, c in label.items() if c == comp))
+            block = np.array(sorted({bf.t for i in members
+                                     for _, bf in basis[i].terms}))
             block_cols = (block[:, None] * width + np.arange(width)).ravel()
             comp_rank = gf_rank(field, rows(np.array(members))[:, block_cols])
         rank += comp_rank
     return rank
 
 
-def _monomial(elem: SpaceElement):
-    """(factors, j) of a single-term element c * x^j / D(x) * y^t with c != 0
-    whose denominator D = prod (x - alpha)^r is a polynomial, else None."""
-    if len(elem.terms) != 1:
-        return None
-    coeff, bf = elem.terms[0]
-    if coeff == 0 or any(r < 0 for _, r in bf.factors):
-        return None
-    return bf.factors, bf.xpow
+def _residue_rank(field: FieldSpec, elems: list[SpaceElement], T: int) -> int | None:
+    """Rank of the rows of one component at T distinct x-values where no
+    denominator vanishes; None where a weight needs the evaluated rows.
 
+    At weight w, L is the lcm of the denominators D of the terms there
+    (the highest power of each factor), and multiplying each column by L at
+    its x-value keeps the rank: a term c x^j / D becomes the polynomial
+    c x^j (L / D).  Side 1 is a group of single-term rows x^j / D_1,
+    j = 0..d, of the highest degree d + deg c_1, where c_1 = L / D_1 (if
+    there is none, d = -1 and c_1 = 1).  Its rows span the multiples of c_1
+    of degree <= d + deg c_1, and the residue of any polynomial P modulo
+    that span is (P mod c_1, the coefficients of P div c_1 in degrees > d).
+    While every polynomial at w has degree < T, evaluation at the T x-values
+    is injective on them, so the weight adds d + 1 and one column block to
+    the residue matrix of the other rows.
 
-def _monomial_rank(field: FieldSpec, shapes, T: int) -> int | None:
-    """Rank of the rows x^j / D(x), given as (factors of D, j), at T distinct
-    x-values where no D vanishes; None unless there are at most two
-    denominators, each with exponents 0..d, and the degree guard holds.
+    A weight is saturated when its single-weight rows reach rank T: side 1
+    alone with d + 1 >= T (a Vandermonde matrix times the invertible
+    diagonal 1 / D_1), or side 1 plus the residues of the other
+    single-weight rows, all of degree < T, when only parts of rows that
+    join weights reach degree T.  It adds T, and those parts drop out.
 
-    eval_matrix raises PoleAtEvaluationPlace when an x-value is a root of a
-    denominator, so multiplying each column by the lcm L of the denominators
-    at its x-value keeps the rank.  One denominator: the block is a
-    Vandermonde matrix times the invertible diagonal 1/D(x_j), of rank
-    min(d + 1, T).  Two: with c = L/D_1 and e = L/D_2 the rows become the
-    values of x^j c (j <= d_1) and x^j e (j <= d_2), polynomials of degree
-    at most N = max(d_1 + deg c, d_2 + deg e).  When N < T, evaluation at
-    the T x-values is injective on them, and with side 1 the one reaching N
-    the multiples of c of degree <= N are exactly the span of the x^j c;
-    so the rank is d_1 + 1 plus the rank of the x^j e modulo c.
+    The rank is the sum of these counts plus gf_rank of the residue matrix.
+    A numerator factor (r < 0), a negative power of x, or an unsaturated
+    weight of degree >= T gives None.
     """
-    groups = {}
-    for factors, j in shapes:
-        groups.setdefault(factors, set()).add(j)
-    if len(groups) > 2 or any(exps != set(range(len(exps)))
-                              for exps in groups.values()):
-        return None
-    if len(groups) == 1:
-        (exps,) = groups.values()
-        return min(len(exps), T)
-    (D1, d1), (D2, d2) = [(_denominator(field, factors), len(exps) - 1)
-                          for factors, exps in groups.items()]
-    g = D1.gcd(D2)
-    c, e = D2 // g, D1 // g
-    if d1 + c.degree < d2 + e.degree:
-        (d1, c), (d2, e) = (d2, e), (d1, c)
-    if d1 + c.degree >= T:
-        return None
-    x = Poly.x(field)
-    rem = e % c
-    R = np.zeros((d2 + 1, c.degree), dtype=np.int64)
-    for j in range(d2 + 1):
-        R[j, :len(rem.coeffs)] = rem.coeffs
-        rem = (x * rem) % c
-    return d1 + 1 + gf_rank(field, R)
+    singles, others = {}, []  # (weight, factors) -> exponents; the rest
+    for elem in elems:
+        if len(elem.terms) == 1 and elem.terms[0][0]:
+            bf = elem.terms[0][1]
+            singles.setdefault((bf.t, bf.factors), []).append(bf.xpow)
+        else:
+            parts = {}  # the row's terms by weight
+            for c, bf in elem.terms:
+                parts.setdefault(bf.t, []).append((c, bf.xpow, bf.factors))
+            others.append(parts)
+    joined = {k for k, parts in enumerate(others) if len(parts) > 1}
+    rank, width, pieces = 0, 0, {}  # pieces: row -> [(column, residue), ...]
+    for w in sorted({t for t, _ in singles}.union(*others)):
+        groups = {f: js for (t, f), js in singles.items() if t == w}
+        rows = [(k, parts[w]) for k, parts in enumerate(others) if w in parts]
+        factor_sets = set(groups).union(*({f for *_, f in terms} for _, terms in rows))
+        if any(r < 0 for f in factor_sets for _, r in f):
+            return None
+        top = {}  # L = prod (x - alpha)^top[alpha]
+        for f in factor_sets:
+            for alpha, r in f:
+                top[alpha] = max(top.get(alpha, 0), r)
+        side, d1, n1 = None, -1, -1  # n1 = d1 + deg c_1
+        for f, js in groups.items():
+            d = len(set(js)) - 1
+            n = d + sum(top.values()) - sum(r for _, r in f)
+            if min(js) == 0 and max(js) == d and n > n1:
+                side, d1, n1 = f, d, n
+        rows += [((w, f, i), [(1, j, f)]) for f, js in groups.items() if f != side
+                 for i, j in enumerate(js)]
+        if any(j < 0 for _, terms in rows for _, j, _ in terms):
+            return None
+        cofactors = {}
+
+        def cofactor(f):  # the coefficients of L / D
+            if f not in cofactors:
+                r = dict(f)
+                coeffs = [1]
+                for alpha, e in top.items():
+                    minus = field.neg(alpha)
+                    for _ in range(e - r.get(alpha, 0)):  # times (x - alpha)
+                        coeffs = [field.add(lo, field.mul(minus, hi))
+                                  for lo, hi in zip([0] + coeffs, coeffs + [0])]
+                cofactors[f] = coeffs
+            return cofactors[f]
+
+        def poly(terms):
+            out = [0] * max(j + len(cofactor(f)) for _, j, f in terms)
+            for c, j, f in terms:
+                for i, a in enumerate(cofactor(f), j):
+                    out[i] = field.add(out[i], field.mul(c, a))
+            return Poly(field, out)
+
+        c1 = Poly(field, [1] if side is None else cofactor(side))
+        polys = [(k, poly(terms)) for k, terms in rows]
+        local = [P for k, P in polys if k not in joined]
+        n_local = max([n1] + [P.degree for P in local])
+        n_all = max([n1] + [P.degree for _, P in polys])
+        if not local and d1 + 1 >= T:
+            rank += T
+        elif n_all < T:
+            rank += d1 + 1
+            cols = n_all - d1
+            for k, P in polys:
+                pieces.setdefault(k, []).append((width, _residue(P, c1, d1, cols)))
+            width += cols
+        elif n_local < T and d1 + 1 + _nonempty_rank(field, np.array(
+                [_residue(P, c1, d1, n_local - d1) for P in local],
+                dtype=np.int64).reshape(len(local), n_local - d1)) == T:
+            rank += T
+        else:
+            return None
+    M = np.zeros((len(pieces), width), dtype=np.int64)
+    for row, parts in zip(M, pieces.values()):
+        for col, residue in parts:
+            row[col:col + len(residue)] = residue
+    return rank + _nonempty_rank(field, M)
 
 
-def _denominator(field: FieldSpec, factors) -> Poly:
-    D = Poly.one(field)
-    for alpha, r in factors:
-        D = D * Poly.linear(field, alpha) ** r
-    return D
+def _residue(P: Poly, c1: Poly, d1: int, cols: int) -> np.ndarray:
+    """(P mod c1, the coefficients of P div c1 in degrees > d1), in cols
+    entries: deg c1 for the remainder, the rest for the quotient."""
+    quot, rem = divmod(P, c1)
+    out = np.zeros(cols, dtype=np.int64)
+    out[:len(rem.coeffs)] = rem.coeffs
+    high = quot.coeffs[d1 + 1:]
+    out[c1.degree:c1.degree + len(high)] = high
+    return out
+
+
+def _nonempty_rank(field: FieldSpec, matrix: np.ndarray) -> int:
+    """gf_rank, with no call for a matrix without rows or columns."""
+    return gf_rank(field, matrix) if matrix.size else 0
 
 
 def gf_rank(field: FieldSpec, matrix: np.ndarray) -> int:
-    """Rank over GF(q) by vectorized Gaussian elimination."""
+    """Rank over GF(q) by vectorized Gaussian elimination.
+
+    The pivot row is not normalized: each row below is reduced by its own
+    multiple pivot^-1 * entry, which leaves the rank unchanged.
+    """
     M = np.array(matrix, dtype=np.int64)
     rows, cols = M.shape
     rank = 0
     for c in range(cols):
         if rank == rows:
             break
-        pivots = np.nonzero(M[rank:, c])[0]
-        if len(pivots) == 0:
+        nonzero = rank + np.flatnonzero(M[rank:, c])
+        if len(nonzero) == 0:
             continue
-        pr = rank + int(pivots[0])
-        M[[rank, pr]] = M[[pr, rank]]
-        M[rank] = field.mul_arr(M[rank], np.full(cols, field.inv(int(M[rank, c])),
-                                                 dtype=np.int64))
-        below = M[rank + 1:, c] != 0
-        if below.any():
-            idx = np.nonzero(below)[0] + rank + 1
-            factors = M[idx, c]
+        if nonzero[0] != rank:
+            M[[rank, nonzero[0]]] = M[[nonzero[0], rank]]
+        # the other rows with a nonzero entry in column c kept their places
+        idx = nonzero[1:]
+        if len(idx):
+            factors = field.mul_arr(M[idx, c], field.inv(int(M[rank, c])))
             M[idx] = field.sub_arr(
                 M[idx], field.mul_arr(factors[:, None], M[rank][None, :]))
         rank += 1

@@ -8,8 +8,8 @@ the lambda patterns (1,...,1), (1,...,1,m/2), (1,...,1,m/2,m/2) and
 
 The criterion depends on the curve only through the residues j * lambda_i
 mod m (j = 1..m-1): one (m-1) x r table of them gives every bound B(n0, j)
-and every overflow set C(n0, j).  The scalar check reads all rows of that
-table at once.  The bulk check covers the whole box, n0 included, in one
+and every overflow set C(n0, j); it is built once per (m, lambdas) and
+cached.  The scalar check reads all rows of that table at once.  The bulk check covers the whole box, n0 included, in one
 call: the counts |C(n0, j)| do not depend on n0, so it sums them once per
 curve and compares them with each n0's bounds, one slice per index of the
 leading axes when the box is large.  Enumeration reads its tuples off that
@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,32 +49,40 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _residues(curve: KummerCurve) -> np.ndarray:
+class _Residues(NamedTuple):
+    table: np.ndarray  # (m-1) x r, read-only
+    sums: tuple        # its row sums, as ints
+
+
+@lru_cache(maxsize=256)
+def _residues(m: int, lambdas: tuple) -> _Residues:
     """The (m-1) x r table of j * lambda_i mod m, row j-1 for j = 1..m-1,
-    with each residue taken in [1, m]: a zero residue reads m."""
-    return (np.outer(np.arange(1, curve.m), curve.lambdas) - 1) % curve.m + 1
+    with each residue taken in [1, m]: a zero residue reads m.  One cached
+    table per curve shape, so it is read-only."""
+    table = (np.outer(np.arange(1, m), lambdas) - 1) % m + 1
+    table.flags.writeable = False
+    return _Residues(table, tuple(table.sum(axis=1).tolist()))
 
 
-def _bounds(curve: KummerCurve, n0: int, res: np.ndarray) -> list[int]:
+def _bounds(curve: KummerCurve, n0: int, res: _Residues) -> list[int]:
     """B(n0, j) for j = 1..m-1 as exact ints.
 
     -j * lambda_i mod m is m - res_ji, so B = -1 + ceil((sum_i (-j lambda_i
     mod m) - n0 d_inf) / m) reads r - 1 - floor((sum_i res_ji + n0 d_inf) / m).
     """
     shift = n0 * curve.ram.d_inf
-    return [curve.r - 1 - (s + shift) // curve.m
-            for s in res.sum(axis=1).tolist()]
+    return [curve.r - 1 - (s + shift) // curve.m for s in res.sums]
 
 
-def _overflows(curve: KummerCurve, n, res: np.ndarray) -> np.ndarray:
+def _overflows(curve: KummerCurve, n, res: _Residues) -> np.ndarray:
     """Boolean (m-1) x r table: i lies in C(n0, j) iff n_i d_i >= res_ji,
     where a zero residue (read as m) lies in no C."""
     if len(n) != curve.r:
         raise LengthMismatch("tuple length does not match curve")
     # clipping n_i d_i to [0, m-1] keeps every comparison with a residue
     # in [1, m] and lets an int of any size or sign into the array
-    return res <= [min(max(ni * di, 0), curve.m - 1)
-                   for ni, di in zip(n, curve.ram.d)]
+    return res.table <= [min(max(ni * di, 0), curve.m - 1)
+                         for ni, di in zip(n, curve.ram.d)]
 
 
 def _row(curve: KummerCurve, j: int) -> int:
@@ -84,13 +93,14 @@ def _row(curve: KummerCurve, j: int) -> int:
 
 def bound_B(curve: KummerCurve, n0: int, j: int) -> int:
     """The per-j upper bound on how many coefficients may 'overflow'."""
-    return _bounds(curve, n0, _residues(curve))[_row(curve, j)]
+    return _bounds(curve, n0, _residues(curve.m, curve.lambdas))[_row(curve, j)]
 
 
 def overflow_set(curve: KummerCurve, tup: InvariantTuple, j: int) -> list[int]:
     """C(n0, j): indices i with n_i * d_i >= (j * lambda_i mod m) > 0."""
     row = _row(curve, j)
-    return np.flatnonzero(_overflows(curve, tup.n, _residues(curve))[row]).tolist()
+    overflows = _overflows(curve, tup.n, _residues(curve.m, curve.lambdas))
+    return np.flatnonzero(overflows[row]).tolist()
 
 
 @dataclass
@@ -128,7 +138,7 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
     """
     if mode not in ("cond2", "cond3"):
         raise RegimeViolation(f"unknown mode {mode!r}")
-    res = _residues(curve)
+    res = _residues(curve.m, curve.lambdas)
     counts = _overflows(curve, tup.n, res).sum(axis=1).tolist()
     ram = curve.ram
     bounds_ok = (tup.is_effective() and tup.n0 < ram.e_inf
@@ -163,9 +173,9 @@ def bulk_verdicts(curve: KummerCurve):
     n_1..n_r is fixed and walked index by index.
     """
     m, r, ram = curve.m, curve.r, curve.ram
-    res = _residues(curve)
+    res = _residues(curve.m, curve.lambdas)
     # hit[i][j-1, v] = 1 iff n_i = v puts i in C(j)
-    hit = [(res[:, i, None] <= np.arange(e) * d).astype(np.int8)
+    hit = [(res.table[:, i, None] <= np.arange(e) * d).astype(np.int8)
            for i, (e, d) in enumerate(zip(ram.e, ram.d))]
     # counts lie in [0, r], so clipping B to [-1, r + 1] keeps == and <=
     bounds = np.array([[min(max(b, -1), r + 1) for b in _bounds(curve, n0, res)]

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -54,8 +55,8 @@ from kummerlcp.errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from kummerlcp.ffield import FieldSpec
-from kummerlcp.instances import f169_curve
+from kummerlcp.ffield import FieldSpec, Poly
+from kummerlcp.instances import _x2_quartic_curve, f169_curve
 
 
 #: (non-special tuple A, Phi) of the pair on y^8 = x^2 (x^4 + 1), f49 and f169
@@ -472,7 +473,7 @@ def test_eval_matrix_rejects_poles_and_bad_weights(f49):
         # the pole in the second term of a row, its denominator shared
         [SpaceElement(((1, BasisFunction(0, 1, ())), (3, BasisFunction(1, 0, shared)))),
          *rows],
-        # a two-denominator stack, as ranked by _monomial_rank
+        # a two-denominator stack, as ranked by residue
         [SpaceElement.single(BasisFunction(1, j, ((b, 2),))) for j in range(3)] + rows,
     ]
     for basis in cases:
@@ -695,6 +696,23 @@ def test_x_part_rank_coupling_rows(f169):
     assert not lcp_verify(C, C)
 
 
+def test_x_part_rank_joins_weights_in_chains(f49):
+    # rows joining weights 1-2 and then 0-2 put weights 0, 1 and 2 in one
+    # component, whichever row comes first: at T = 2 the single rows 1, x
+    # at weights 1 and 2 span everything, so both joining rows are
+    # dependent; a row ranked apart from the singles of one of its weights
+    # would count as independent
+    F = f49.field
+    fibers = split_place_list(f49, completely_split_values(f49)[:2])
+    joins = [SpaceElement(((1, BasisFunction(1, 0, ())), (1, BasisFunction(2, 1, ())))),
+             SpaceElement(((1, BasisFunction(0, 0, ())), (1, BasisFunction(2, 0, ()))))]
+    singles = monomial_rows(0, (), range(1)) + monomial_rows(1, (), range(2)) \
+        + monomial_rows(2, (), range(2))
+    for basis in (joins + singles, joins[::-1] + singles, singles + joins):
+        assert basis_rank(basis, fibers) \
+            == gf_rank(F, scalar_gen(F, basis, fibers.places)) == 5
+
+
 @pytest.mark.parametrize("name", ["toy9", "f49", "f169", "dickson_m8"])
 def test_x_part_rank_deficient_stacks_through_bases(name, request):
     """One code's basis stacked on itself, and a pair missing one E row, ranked
@@ -825,6 +843,102 @@ def test_monomial_rank_equals_dense_rank_f49(f49, data):
     monomial_rank_property(f49, data)
 
 
+def coupled_rank_property(curve, data):
+    """A delta = 1 shaped basis: single-term rows x^j / D(x) * y^t in one or
+    two groups at each of two weights, the top row of a group at the pivot
+    weight (either one) removed and added, times a drawn coefficient, to the
+    top row of a group at the other weight; a single row dropped (a gap, or
+    a rank short of T) and one repeated; then extra rows of two or three
+    terms across the weights, with zero or cancelling coefficients, exponent
+    gaps and further denominators.  T is drawn next to a weight's single-row
+    count and top degree + 1 (where it may saturate) and next to the degree
+    of a coupled part over the lcm of the denominators at its weight (where
+    that part reaches T).  The rank with the basis equals the dense rank of
+    the generator rows."""
+    F = curve.field
+    split = completely_split_values(curve)
+    factors = st.lists(st.tuples(st.sampled_from(curve.alphas), st.integers(1, 2)),
+                       max_size=2, unique_by=lambda f: f[0]).map(tuple)
+    weights = data.draw(st.lists(st.integers(0, curve.m - 1), min_size=2,
+                                 max_size=2, unique=True), label="weights")
+    groups = []  # (t, factors, exponents)
+    for t in weights:
+        f = data.draw(factors, label="factors")
+        for k in range(data.draw(st.integers(1, 2), label="groups")):
+            if k and data.draw(st.booleans(), label="nested"):
+                # the first denominator times more factors: their lcm is
+                # this one, as on the stacked bases of a pair
+                more = data.draw(factors, label="more")
+                f = tuple(sorted({**dict(more), **{a: r + dict(more).get(a, 0)
+                                                   for a, r in f}}.items()))
+            elif k:
+                f = data.draw(factors, label="factors")
+            d = data.draw(st.integers(0, 5), label="d")
+            groups.append((t, f, list(range(d + 1))))
+    pivot = data.draw(st.sampled_from([g for g in groups if g[0] == weights[0]]),
+                      label="pivot")
+    other = data.draw(st.sampled_from([g for g in groups if g[0] == weights[1]]),
+                      label="other")
+    top = [BasisFunction(t, exps.pop(), f) for t, f, exps in (pivot, other)]
+    ratio = data.draw(st.integers(1, F.q - 1), label="ratio")
+    basis = [SpaceElement(((1, top[1]), (ratio, top[0])))]
+    singles = [SpaceElement.single(BasisFunction(t, j, f))
+               for t, f, exps in groups for j in exps]
+    drops = data.draw(st.sets(st.sampled_from(range(len(singles))), max_size=1)
+                      if singles else st.just(set()), label="drops")
+    repeats = data.draw(st.lists(st.sampled_from(singles), max_size=1)
+                        if singles else st.just([]), label="repeats")
+    basis += [e for i, e in enumerate(singles) if i not in drops] + repeats
+    term = st.tuples(st.integers(0, F.q - 1), st.sampled_from(weights),
+                     st.integers(0, 4), factors)
+    for _ in range(data.draw(st.integers(0, 3), label="extra")):
+        terms = data.draw(st.lists(term, min_size=2, max_size=3), label="terms")
+        row = tuple((c, BasisFunction(t, j, f)) for c, t, j, f in terms)
+        if data.draw(st.booleans(), label="cancel"):  # the first term twice, negated
+            row += ((F.neg(row[0][0]), row[0][1]),)
+        basis.append(SpaceElement(row))
+    lcm = {t: {} for t in weights}
+    for elem in basis:
+        for _, bf in elem.terms:
+            for alpha, r in bf.factors:
+                lcm[bf.t][alpha] = max(lcm[bf.t].get(alpha, 0), r)
+
+    def degree(bf):  # of x^j * lcm / D
+        return bf.xpow + sum(lcm[bf.t].values()) - sum(r for _, r in bf.factors)
+
+    # a weight saturates when its single rows number T or span the degrees
+    # below T; a coupled part reaches T at its degree
+    sizes = [sum(len(exps) for t, _, exps in groups if t == w) for w in weights]
+    spans = [1 + degree(BasisFunction(t, exps[-1], f)) for t, f, exps in groups if exps]
+    near = sorted({min(max(v + e, 1), len(split))
+                   for v in sizes + spans + [degree(bf) for bf in top]
+                   for e in (-1, 0, 1)})
+    T = data.draw(st.sampled_from(near), label="T")
+    values = data.draw(st.lists(st.sampled_from(split), min_size=T, max_size=T,
+                                unique=True), label="values")
+    fibers = split_place_list(curve, values)
+    basis = data.draw(st.permutations(basis), label="order")
+    assert basis_rank(basis, fibers) == gf_rank(F, scalar_gen(F, basis, fibers.places))
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_coupled_rank_equals_dense_rank_toy9(toy9, data):
+    coupled_rank_property(toy9, data)
+
+
+@settings(max_examples=150, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_coupled_rank_equals_dense_rank_f49(f49, data):
+    coupled_rank_property(f49, data)
+
+
+@settings(max_examples=100, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_coupled_rank_equals_dense_rank_f169(f169, data):
+    coupled_rank_property(f169, data)
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
     """The shapes of the matrices codes.gf_rank is called on."""
@@ -839,35 +953,57 @@ def rank_calls(monkeypatch):
 
 
 def test_monomial_rank_branches(f49, zero_split, rank_calls):
-    # T = 4 split values of f49; denominators over its first two branch points
+    # T = 4 split values of f49; denominators over its first two branch
+    # points; gf_rank sees residue matrices, or the evaluated rows on fallback
     F = f49.field
     values = completely_split_values(f49)[:4]
     fibers = split_place_list(f49, values)
     a, b = f49.alphas[:2]
     one, x = BasisFunction(0, 0, ()), BasisFunction(0, 1, ())
+    # prod (x - v) over the x-values: degree T, zero at every x-value
+    vanish = reduce(Poly.__mul__, [Poly.linear(F, v) for v in values])
     cases = [
         # one denominator, d + 1 = 6 > T: the Vandermonde rank min(d + 1, T)
         (monomial_rows(0, ((a, 2),), range(6)), 4, []),
-        # gcd(D_1, D_2) = x - a, and c = D_2 / gcd = x - a on the side reaching N
+        # L = (x - a)^2 (x - b), and c_1 = x - a on the side reaching N: the
+        # other row (x - b) leaves a remainder mod c_1
         (monomial_rows(0, ((a, 1), (b, 1)), range(2))
          + monomial_rows(0, ((a, 2),), range(1)), 3, [(1, 1)]),
-        # D_2 | D_1 and side 1 reaches N: c = 1, nothing left to eliminate
+        # D_2 | D_1 and side 1 reaches N: c_1 = 1, no residue column
         (monomial_rows(0, ((a, 1), (b, 1)), range(3))
-         + monomial_rows(0, ((a, 1),), range(1)), 3, [(1, 0)]),
+         + monomial_rows(0, ((a, 1),), range(1)), 3, []),
         # coprime, N = 3 + 1 >= T: falls back to the whole block (the
         # polynomial span has dimension 5 > T)
         (monomial_rows(0, ((a, 1),), range(4)) + monomial_rows(0, ((b, 1),), range(4)),
          4, [(8, 4)]),
-        # two terms in a row, or a third denominator: elimination
-        ([SpaceElement(((1, one), (1, x)))], 1, [(1, 4)]),
+        # two terms in a row (no side 1: every coefficient is a residue), or
+        # a third denominator (side 1 is 1 / 1, with c_1 = L of degree 2)
+        ([SpaceElement(((1, one), (1, x)))], 1, [(1, 2)]),
         (monomial_rows(0, (), range(1)) + monomial_rows(0, ((a, 1),), range(1))
-         + monomial_rows(0, ((b, 1),), range(1)), 3, [(3, 4)]),
+         + monomial_rows(0, ((b, 1),), range(1)), 3, [(2, 2)]),
         # a factor with r < 0 is a numerator, here zero at an x-value
         (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 4)]),
         # rows whose terms put them in a weight they are zero on: a zero
-        # coefficient (the closed form would count 1) and two terms that cancel
-        ([SpaceElement(((0, one),))], 0, [(1, 4)]),
-        ([SpaceElement(((1, x), (F.neg(1), x)))], 0, [(1, 4)]),
+        # coefficient (the closed form would count 1) and two terms that
+        # cancel leave zero polynomials, with no residue column
+        ([SpaceElement(((0, one),))], 0, []),
+        ([SpaceElement(((1, x), (F.neg(1), x)))], 0, []),
+        # weight 0 saturates: side 1 = x^j, j <= 1, times c_1 = (x - a)(x - b)
+        # and the residues 1, x of the other group reach T, so the coupled
+        # part x^2 c_1 of degree T drops out; at weight 1 the coupled part x
+        # leaves one quotient coefficient above side 1 = {1}
+        (monomial_rows(0, (), range(2)) + monomial_rows(0, ((a, 1), (b, 1)), range(2))
+         + monomial_rows(1, (), range(1))
+         + [SpaceElement(((1, BasisFunction(0, 2, ())), (1, BasisFunction(1, 1, ()))))],
+         6, [(2, 2), (1, 1)]),
+        # a single-weight row of degree T that vanishes at every x-value:
+        # its polynomial is independent, its values are zero, so the weight
+        # cannot saturate by residue and falls back
+        (monomial_rows(0, (), range(3))
+         + [SpaceElement(tuple((c, BasisFunction(0, i, ()))
+                               for i, c in enumerate(vanish.coeffs) if c)),
+            SpaceElement(((1, BasisFunction(0, 4, ())), (1, BasisFunction(1, 0, ()))))],
+         4, [(5, 8)]),
     ]
     for basis, want, calls in cases:
         rank_calls.clear()
@@ -875,7 +1011,8 @@ def test_monomial_rank_branches(f49, zero_split, rank_calls):
         assert x_part_rank(F, basis, 4, lambda members: X[members]) \
             == gf_rank(F, scalar_gen(F, basis, fibers.places)) == want
         assert rank_calls == calls
-    # the term x at the single x-value 0: exponents {1}, not 0..d
+    # the term x at the single x-value 0: exponents {1}, not 0..d, and of
+    # degree 1 = T, so the evaluated row
     F, fibers = zero_split.field, split_place_list(zero_split, [0])
     basis = [SpaceElement.single(x)]
     rank_calls.clear()
@@ -892,6 +1029,20 @@ def test_dickson103_n400_eliminates_remainders_only(dickson103, rank_calls):
     assert (pair.C.n, pair.C.k, pair.E.k) == (400, 376, 24) and pair.verified
     assert rank_calls == [(3, 3)] * 8
     assert sum(r * c for r, c in rank_calls) == 72
+
+
+def test_quartic103_n1600_ranks_by_residue(rank_calls):
+    # the lambda_two pair on y^8 = x^2 (x^4 + 1) over GF(103^2) at 200 split
+    # values: each code's delta = 1 row joins weights 0 and 4 and leaves a
+    # 1 x 2 residue matrix; in the stack weight 0 saturates (a 4 x 4
+    # residue check), the joined weight 4 leaves 5 x 5 and the six others
+    # 4 x 4 remainders.  Dense rank of the joined block was 400 x 400.
+    curve = _x2_quartic_curve(103)
+    values = completely_split_values(curve)[:200]
+    pair = lcp_build_regime(curve, "lambda_two", split_values=values)
+    assert (pair.C.n, pair.C.k, pair.E.k) == (1600, 1568, 32)
+    assert pair.verified and pair.gcd_identity and pair.lmd_identity
+    assert rank_calls == [(1, 2), (1, 2), (4, 4), (5, 5)] + [(4, 4)] * 6
 
 
 @pytest.fixture

@@ -120,6 +120,23 @@ def test_bench_sweep_op_sums_counts_once():
             snap["nonspecial.bulk_verdicts.cells"]) == (1, 15552)
 
 
+def test_bench_catalog_op_ranks_by_residue():
+    # the delta = 1 pairs of f169 and f49 rank their coupled components by
+    # residue: lcp_verify evaluates no rows (one eval_matrix call per code,
+    # 6, not 8) and gf_rank sees residue matrices of at most 9 x 9, not the
+    # 56 x 56 and 24 x 24 blocks of the joined weights (8264 cells)
+    stagetrace, workloads = _bench_modules()
+    wl = workloads.WORKLOADS["catalog"]
+    inputs = wl.setup(1)
+    with stagetrace.Tracer() as tracer:
+        out = wl.op(inputs, 0)
+        snap = tracer.snapshot()
+    assert wl.check(inputs, 0, out) is None
+    assert snap["codes.eval_matrix.calls"] == 6
+    assert snap["codes.gf_rank.cells"] < 1500
+    assert stagetrace.coverage_gaps(snap, "catalog") == []
+
+
 def _declared_requirements():
     """Import names of the dependencies and the test extra in pyproject."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
