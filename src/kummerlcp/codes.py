@@ -18,7 +18,8 @@ above each of T distinct completely split x-values a.  fiber_values checks
 a place list once and returns it as Fibers (the curve, the places, their
 sorted x-values xs, each place's column into xs and its y-value);
 build_code, eval_matrix, LinearCode.gen(), lcp_verify and the lmd identity
-of a pair reuse it and check only its curve.  A basis element
+of a pair reuse it and check only that fiber_values made it, on the same
+curve.  A basis element
 sum_t b_t(x) * y^t takes the value
 sum_t b_t(a) * y_j^t at (a, y_j), so the generator matrix is the k x mT
 x-part matrix R of eval_matrix (entry [i, t * T + j] = b_t(xs[j])) times a
@@ -30,10 +31,11 @@ basis and sums their ranks by residue (_residue_rank): per weight, the
 terms become polynomials over the lcm of their denominators, a group of
 single-term rows x^j / D(x), j = 0..d, spans the multiples of one
 polynomial, and every other row leaves its residue modulo that span.  A
-weight whose single-weight rows reach rank T absorbs the delta = 1 parts
-there.  gf_rank ranks the one residue matrix of a component; only an
-unsaturated weight of degree >= T or a numerator factor falls back to
-gf_rank of the component's rows of R.  Dense gf_rank of a whole generator
+weight whose single-weight rows reach rank T (such a group with d + 1 >= T
+always does) absorbs every other part there.  gf_rank ranks the one
+residue matrix of a component; only an unsaturated weight of degree >= T
+or a numerator factor falls back to gf_rank of the component's rows of R,
+which no single code's basis does.  Dense gf_rank of a whole generator
 matrix is the test oracle.  A code stores no matrix: lcp_verify evaluates
 only the rows that fall back, and LinearCode.gen() evaluates on demand.
 """
@@ -41,7 +43,6 @@ only the rows that fall back, and LinearCode.gen() evaluates on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -275,14 +276,23 @@ def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
 # Evaluation and linear algebra over GF(q)
 # ---------------------------------------------------------------------------
 
-class Fibers(NamedTuple):
-    """Evaluation places that fiber_values found to be whole fibers."""
+@dataclass(frozen=True, eq=False)
+class Fibers:
+    """Evaluation places that fiber_values found to be whole fibers.
+
+    Only the values fiber_values returns are accepted: a Fibers built
+    directly, or by dataclasses.replace, raises TypeError where it is used.
+    """
 
     curve: KummerCurve  # the curve they were checked on
     places: list        # the places as given
     xs: np.ndarray      # the T sorted x-values
     col: np.ndarray     # each place's index into xs
     y: np.ndarray       # each place's y-value
+    _seal = None        # not a field: fiber_values sets it to _SEAL
+
+
+_SEAL = object()  # set on a Fibers by fiber_values, and by nothing else
 
 
 def fiber_values(curve: KummerCurve, places: list[Place]) -> Fibers:
@@ -300,11 +310,13 @@ def fiber_values(curve: KummerCurve, places: list[Place]) -> Fibers:
             raise NotWholeFibers(
                 f"x = {a} carries {len(ys)} places with {len(set(ys))} distinct "
                 f"y-values, not the m = {curve.m} of a whole fiber")
-    return Fibers(curve, places, *curve.split_coordinates(places))
+    fibers = Fibers(curve, places, *curve.split_coordinates(places))
+    object.__setattr__(fibers, "_seal", _SEAL)  # frozen, and not an argument
+    return fibers
 
 
 def _require_fibers(curve: KummerCurve, fibers) -> Fibers:
-    if not isinstance(fibers, Fibers):
+    if not isinstance(fibers, Fibers) or fibers._seal is not _SEAL:
         raise TypeError("evaluate at Fibers, built by fiber_values(curve, places)")
     if fibers.curve is not curve and fibers.curve.to_json() != curve.to_json():
         raise InvalidPlace("the fibers were checked on another curve")
@@ -435,14 +447,24 @@ def _residue_rank(field: FieldSpec, elems: list[SpaceElement], T: int) -> int | 
     the residue matrix of the other rows.
 
     A weight is saturated when its single-weight rows reach rank T: side 1
-    alone with d + 1 >= T (a Vandermonde matrix times the invertible
-    diagonal 1 / D_1), or side 1 plus the residues of the other
-    single-weight rows, all of degree < T, when only parts of rows that
-    join weights reach degree T.  It adds T, and those parts drop out.
+    alone with d + 1 >= T, whatever other rows are there (its rows are a
+    Vandermonde matrix times the invertible diagonal 1 / D_1), or side 1
+    plus the residues of the other single-weight rows, all of degree < T,
+    when only parts of rows that join weights reach degree T.  It adds T,
+    and every other part at that weight drops out.
 
     The rank is the sum of these counts plus gf_rank of the residue matrix.
     A numerator factor (r < 0), a negative power of x, or an unsaturated
     weight of degree >= T gives None.
+
+    No code's rr_basis gives None.  Its factors have r > 0 and its powers
+    of x are j >= 0.  Each weight has one factor set D, and the delta = 1
+    functional joins only each weight's top term x^(d+1) / D: the valuation
+    at Q_infinity falls as j grows, so only the top term can reach -n_0.
+    The single rows there are x^j / D, j = 0..d.  So L = D and c_1 = 1,
+    and either d + 1 >= T saturates the weight, or every polynomial at it
+    has degree <= d + 1 < T.  No bound on deg G is needed.  Stacks of two
+    codes' bases, and other hand-built rows, may still fall back.
     """
     singles, others = {}, []  # (weight, factors) -> exponents; the rest
     for elem in elems:
@@ -502,7 +524,7 @@ def _residue_rank(field: FieldSpec, elems: list[SpaceElement], T: int) -> int | 
         local = [P for k, P in polys if k not in joined]
         n_local = max([n1] + [P.degree for P in local])
         n_all = max([n1] + [P.degree for _, P in polys])
-        if not local and d1 + 1 >= T:
+        if d1 + 1 >= T:
             rank += T
         elif n_all < T:
             rank += d1 + 1
@@ -638,7 +660,7 @@ def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
     """
     if C.n != E.n or C.field != E.field or C.fibers.places != E.fibers.places:
         raise LengthMismatch("codes must share length, field and places")
-    curve = C.fibers.curve
+    curve = _require_fibers(C.fibers.curve, C.fibers).curve
     fibers = _require_fibers(curve, E.fibers)
     if C.k + E.k != C.n:
         return False

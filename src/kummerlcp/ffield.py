@@ -10,8 +10,9 @@ raises :class:`~kummerlcp.errors.FieldTooLarge`.  Every field is built one
 way: the canonical modulus is found by trial division with :class:`Poly`
 over GF(p), and the discrete-log tables come from the modulus' companion
 matrix by doubling.  The tables carry a zero sentinel, so a product, scalar
-or vectorized, is one table lookup.  Addition and negation run one digit
-loop over the k coefficients (a single digit in a prime field).
+or vectorized, is one table lookup.  Addition and negation each run one
+digit loop over the k coefficients (a single digit in a prime field), the
+same code for integers and for int64 arrays.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ class FieldSpec:
     # -- scalar ops on encodings --
 
     def add(self, a: int, b: int) -> int:
+        """a + b digit by digit; the same loop serves add_arr, since it runs
+        unchanged on int64 arrays (which broadcast)."""
         p = self.p
         out = 0
         for pw in self._pows:
@@ -159,6 +162,7 @@ class FieldSpec:
         return out
 
     def neg(self, a: int) -> int:
+        """-a digit by digit; the same loop serves neg_arr."""
         p = self.p
         out = 0
         for pw in self._pows:
@@ -186,24 +190,13 @@ class FieldSpec:
     # -- vectorized ops on numpy arrays of encodings --
 
     def add_arr(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        p = self.p
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for pw in self._pows:
-            out += (((a // pw) + (b // pw)) % p) * pw
-        return out
+        return self.add(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
 
     def neg_arr(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        p = self.p
-        out = np.zeros(a.shape, dtype=np.int64)
-        for pw in self._pows:
-            out += ((-(a // pw)) % p) * pw
-        return out
+        return self.neg(np.asarray(a, dtype=np.int64))
 
     def sub_arr(self, a, b):
-        return self.add_arr(a, self.neg_arr(np.asarray(b, dtype=np.int64)))
+        return self.add_arr(a, self.neg_arr(b))
 
     def mul_arr(self, a, b):
         # int64 first: a bool array must read as 0/1, not as an index mask
@@ -367,16 +360,8 @@ class Poly:
         return a.scale(self.field.inv(a.coeffs[-1]))  # monic normalization
 
     def derivative(self) -> "Poly":
-        F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            scalar = i % F.p
-            c = self.coeffs[i]
-            acc = 0
-            for _ in range(scalar):
-                acc = F.add(acc, c)
-            out.append(acc)
-        return Poly(F, out)
+        F = self.field  # i % p encodes the integer i of the prime subfield
+        return Poly(F, [F.mul(c, i % F.p) for i, c in enumerate(self.coeffs) if i])
 
     def eval_enc(self, a: int) -> int:
         F = self.field
@@ -427,22 +412,25 @@ class PolyAnalysis:
 def poly_analyze(f: Poly) -> PolyAnalysis:
     """Roots in the field (with multiplicity) and separability of f.
 
-    Roots by exhaustive evaluation, multiplicity by repeated division,
-    separability via gcd(f, f').
+    Roots by one Horner pass over every element at once, multiplicity by
+    repeated division, separability via gcd(f, f').
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot analyze the zero polynomial")
     F = f.field
+    xs = np.arange(F.q, dtype=np.int64)
+    vals = np.zeros(F.q, dtype=np.int64)
+    for c in reversed(f.coeffs):
+        vals = F.add_arr(F.mul_arr(vals, xs), c)
     roots = []
     work = f
-    for a in range(F.q):
-        if f.eval_enc(a) == 0:
-            mult = 0
-            lin = Poly.linear(F, a)
-            while not work.is_zero() and work.eval_enc(a) == 0:
-                work = work // lin
-                mult += 1
-            roots.append((a, mult))
+    for a in np.flatnonzero(vals == 0).tolist():
+        mult = 0
+        lin = Poly.linear(F, a)
+        while work.eval_enc(a) == 0:
+            work = work // lin
+            mult += 1
+        roots.append((a, mult))
     g = f.gcd(f.derivative())
     separable = g.degree <= 0
     return PolyAnalysis(roots=roots, separable=separable)

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from sympy import factorint
 from sympy.polys.domains import GF
 from sympy.polys.matrices import DomainMatrix
 
@@ -15,6 +16,7 @@ from kummerlcp import (
     coeffs_all_ones,
     completely_split_values,
     dickson_curve_double,
+    enumerate_nonspecial,
     eval_matrix,
     gf_rank,
     infinity_functional,
@@ -30,6 +32,7 @@ from kummerlcp import (
 from kummerlcp import codes
 from kummerlcp.codes import (
     BasisFunction,
+    Fibers,
     SpaceElement,
     basis_valuation,
     divisor_shape,
@@ -354,13 +357,29 @@ def test_build_code_needs_whole_fibers(toy9, f49, f169):
         build_code(f169, G, foreign)
     with pytest.raises(InvalidPlace, match="another curve"):
         eval_matrix(f169, rr_basis(f169, G), foreign)
-    # an equal curve is the same curve, and a pair's codes share theirs
+    # an equal curve is the same curve, and a pair's codes share theirs;
+    # the same curve with its branches listed in reverse is another one
     code = build_code(f169_curve(), G, split_place_list(f169, values))
     assert (code.n, code.k) == (48, 20)
-    stray = replace(code, fibers=code.fibers._replace(
-        curve=make_curve(F, 2, [(0, 1), (1, 1), (2, 1)])))
+    flipped = make_curve(F, f169.m, list(zip(f169.alphas, f169.lambdas))[::-1],
+                         f169.a_enc)
+    stray = replace(code, fibers=fiber_values(flipped, code.fibers.places))
     with pytest.raises(InvalidPlace, match="another curve"):
         lcp_verify(code, stray)
+    # Fibers that fiber_values did not return are refused, even with the
+    # fields of checked ones: built directly, or copied with a field changed
+    fibers = code.fibers
+    direct = Fibers(f169, fibers.places, fibers.xs, fibers.col, fibers.y)
+    assert not hasattr(fibers, "_replace")
+    for unchecked in (direct, replace(fibers, curve=flipped)):
+        with pytest.raises(TypeError, match=r"fiber_values\(curve, places\)"):
+            build_code(f169, G, unchecked)
+        with pytest.raises(TypeError, match=r"fiber_values\(curve, places\)"):
+            eval_matrix(f169, code.basis, unchecked)
+        for pair in ((code, replace(code, fibers=unchecked)),
+                     (replace(code, fibers=unchecked), code)):
+            with pytest.raises(TypeError, match=r"fiber_values\(curve, places\)"):
+                lcp_verify(*pair)
 
 
 def scalar_gen(F, basis, places):
@@ -650,6 +669,76 @@ def test_lcp_code_bases_lie_in_their_spaces(f169):
     pair = lcp_build_regime(f169, "lambda_two", s=2)
     assert_basis_in_space(f169, pair.C.basis, pair.C.divisor_G)
     assert_basis_in_space(f169, pair.E.basis, pair.E.divisor_G)
+
+
+# ---------------------------------------------------------------------------
+# Pairs on drawn curves, end to end
+# ---------------------------------------------------------------------------
+
+#: the prime powers 3 <= q <= 125, as (p, k)
+DRAWN_FIELDS = [pk for q in range(3, 126) if len(f := factorint(q)) == 1
+                for pk in f.items()]
+
+#: min_distance_exact runs where q^k is at most this
+DISTANCE_CAP = 1 << 14
+
+
+@settings(max_examples=400, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_drawn_curve_pairs_end_to_end(data):
+    """A pair on y^m = prod (x - alpha_i)^lambda_i over a drawn field: m | q - 1
+    up to 12, r = 2..5 branch points, lambda_1 = 1 and the other lambda_i
+    any (so some branches have d_i > 1), A a non-special tuple with n_0 = 0,
+    Phi totally ramified branches and a drawn split-value subset and s.
+    Each code has dense rank k and a basis in L(G), the stack has dense rank
+    n exactly when the pair is verified, l(A) = 1, both divisor identities
+    hold, the minimum distance reaches the designed one, and the build
+    evaluates each code's basis once: lcp_verify evaluates no fallback
+    rows.  Draws with no split value, no tuple or no admissible s end."""
+    m = data.draw(st.sampled_from(range(2, 13)), label="m")
+    F = make_field(*data.draw(st.sampled_from(
+        [(p, k) for p, k in DRAWN_FIELDS if (p ** k - 1) % m == 0]), label="field"))
+    r = data.draw(st.sampled_from(range(2, min(5, F.q) + 1)), label="r")
+    alphas = data.draw(st.lists(st.sampled_from(range(F.q)), min_size=r, max_size=r,
+                                unique=True), label="alphas")
+    lambdas = [1] + [data.draw(st.sampled_from(range(1, m)), label="lambda")
+                     for _ in range(r - 1)]
+    curve = make_curve(F, m, list(zip(alphas, lambdas)))
+    split = completely_split_values(curve)
+    tuples = [A for A in enumerate_nonspecial(curve) if A.n0 == 0]
+    if not split or not tuples:
+        return
+    A = data.draw(st.sampled_from(tuples), label="A")
+    phi = data.draw(st.sets(st.sampled_from(
+        [i for i, d in enumerate(curve.ram.d) if d == 1]), min_size=1), label="phi")
+    T = data.draw(st.sampled_from(range(1, min(len(split), 24) + 1)), label="T")
+    values = data.draw(st.lists(st.sampled_from(split), min_size=T, max_size=T,
+                                unique=True), label="values")
+    try:
+        first, last = s_interval(curve, m * T, len(phi))
+    except SRangeEmpty:
+        return
+    s = data.draw(st.integers(first, last), label="s")
+    evaluated = []
+
+    def spy(on, basis, fibers):
+        evaluated.append(len(basis))
+        return eval_matrix(on, basis, fibers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "eval_matrix", spy)
+        pair = lcp_build_general(curve, A, phi, values, s)
+    assert evaluated == [pair.C.k, pair.E.k]
+    gens = [pair.C.gen(), pair.E.gen()]
+    for code, gen in zip((pair.C, pair.E), gens):
+        assert gf_rank(F, gen) == code.k
+        assert_basis_in_space(curve, code.basis, code.divisor_G)
+        # a code with k = 0 has no nonzero word to reach n - deg G = n + 1
+        if code.k and F.q ** code.k <= DISTANCE_CAP:
+            assert min_distance_exact(code, DISTANCE_CAP) >= code.designed_distance
+    assert (gf_rank(F, np.vstack(gens)) == pair.C.n) == pair.verified
+    assert ell_invariant(curve, A) == 1
+    assert pair.gcd_identity and pair.lmd_identity
 
 
 # ---------------------------------------------------------------------------
@@ -972,10 +1061,11 @@ def test_monomial_rank_branches(f49, zero_split, rank_calls):
         # D_2 | D_1 and side 1 reaches N: c_1 = 1, no residue column
         (monomial_rows(0, ((a, 1), (b, 1)), range(3))
          + monomial_rows(0, ((a, 1),), range(1)), 3, []),
-        # coprime, N = 3 + 1 >= T: falls back to the whole block (the
-        # polynomial span has dimension 5 > T)
+        # coprime, N = 3 + 1 >= T: side 1 alone has d + 1 = 4 = T rows, a
+        # Vandermonde block of rank T, so the weight saturates whatever the
+        # other group adds (the polynomial span has dimension 5 > T)
         (monomial_rows(0, ((a, 1),), range(4)) + monomial_rows(0, ((b, 1),), range(4)),
-         4, [(8, 4)]),
+         4, []),
         # two terms in a row (no side 1: every coefficient is a residue), or
         # a third denominator (side 1 is 1 / 1, with c_1 = L of degree 2)
         ([SpaceElement(((1, one), (1, x)))], 1, [(1, 2)]),

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -6,11 +7,12 @@ import pytest
 import sympy
 from hypothesis import Phase, given, settings, strategies as st
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem
+from sympy.polys.galoistools import gf_mul, gf_pow_mod, gf_rem, gf_sqf_p
 
 from kummerlcp import make_field, nth_roots, poly_analyze
 from kummerlcp.errors import DegreeZero, FieldTooLarge, NotPrime, ZeroPolynomial
 from kummerlcp.ffield import Poly
+from kummerlcp.instances import dickson_curve_single
 
 FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (7, 2), (13, 2)]
 
@@ -136,17 +138,49 @@ def test_element_order_divides_group_order(field):
                 assert F.pow(a, order // f) != 1
 
 
+def digit_op(F, op, *args):
+    """op on each base-p digit of the encodings, mod p: the oracle for
+    addition (op = +) and negation (op = unary -)."""
+    digits = [[x // F.p ** i % F.p for i in range(F.k)] for x in args]
+    return sum(op(*column) % F.p * F.p ** i for i, column in enumerate(zip(*digits)))
+
+
 def test_vectorized_ops_match_scalar(field):
+    # add, neg and sub share one digit loop with their _arr forms, so both
+    # are checked against the digit oracle: on scalars, on 1-D arrays and on
+    # a column broadcast against a row, the shapes gf_rank uses
     F = field
     rng = random.Random(7)
-    a = np.array([rng.randrange(F.q) for _ in range(200)], dtype=np.int64)
-    b = np.array([rng.randrange(F.q) for _ in range(200)], dtype=np.int64)
-    assert all(int(v) == F.add(int(x), int(y))
-               for v, x, y in zip(F.add_arr(a, b), a, b))
+    a = [rng.randrange(F.q) for _ in range(200)] + [0, F.q - 1]
+    b = [rng.randrange(F.q) for _ in range(200)] + [F.q - 1, 0]
+    pairs = list(zip(a, b))
+    add = [digit_op(F, lambda x, y: x + y, x, y) for x, y in pairs]
+    neg = [digit_op(F, lambda x: -x, x) for x in a]
+    sub = [digit_op(F, lambda x, y: x - y, x, y) for x, y in pairs]
+    assert [F.add(x, y) for x, y in pairs] == add
+    assert [F.neg(x) for x in a] == neg
+    assert [F.sub(x, y) for x, y in pairs] == sub
+    assert [int(F.add_arr(x, y)) for x, y in pairs] == add
+    assert [int(F.neg_arr(x)) for x in a] == neg
+    assert [int(F.sub_arr(x, y)) for x, y in pairs] == sub
+    a, b = np.array(a), np.array(b)
+    assert F.add_arr(a, b).tolist() == add
+    assert F.neg_arr(a).tolist() == neg
+    assert F.sub_arr(a, b).tolist() == sub
+    col, row = a[:12, None], b[None, 100:110]
+    for kernel, op in ((F.add_arr, lambda x, y: x + y),
+                       (F.sub_arr, lambda x, y: x - y)):
+        out = kernel(col, row)
+        assert out.dtype == np.int64 and out.shape == (12, 10)
+        assert out.tolist() == [[digit_op(F, op, x, y) for y in row[0].tolist()]
+                                for x in col[:, 0].tolist()]
+    assert F.neg_arr(col).tolist() == [[digit_op(F, lambda x: -x, x)]
+                                       for x in col[:, 0].tolist()]
+    # an array with a scalar, as in sub_arr(xs, alpha)
+    assert F.sub_arr(a, int(b[0])).tolist() \
+        == [digit_op(F, lambda x, y: x - y, x, int(b[0])) for x in a.tolist()]
     assert all(int(v) == F.mul(int(x), int(y))
                for v, x, y in zip(F.mul_arr(a, b), a, b))
-    assert all(int(v) == F.sub(int(x), int(y))
-               for v, x, y in zip(F.sub_arr(a, b), a, b))
     assert all(int(v) == F.pow(int(x), 5) for v, x in zip(F.pow_arr(a, 5), a))
 
 
@@ -272,6 +306,93 @@ def test_poly_analyze_multiplicities_and_separability():
     assert analysis.roots == [] and analysis.separable
     with pytest.raises(ZeroPolynomial):
         poly_analyze(Poly(F, []))
+
+
+def deflate(F, coeffs, a):
+    """(f div (x - a), f(a)) by synthetic division with scalar ops, for f
+    given by its coefficients low to high."""
+    acc, out = 0, []
+    for c in reversed(coeffs):
+        acc = F.add(F.mul(acc, a), c)
+        out.append(acc)
+    return out[-2::-1], out[-1]
+
+
+def scan_root_multiplicities(f: Poly) -> list:
+    """[(a, multiplicity)] over every element a of the field, by deflation."""
+    F, found = f.field, []
+    for a in range(F.q):
+        coeffs, mult = list(f.coeffs), 0
+        while True:
+            quot, value = deflate(F, coeffs, a)
+            if value:
+                break
+            coeffs, mult = quot, mult + 1
+        if mult:
+            found.append((a, mult))
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def rootless_quadratic(F):
+    """The first monic x^2 + b x + c, by (c, b), with no root in F."""
+    return next(g for c in range(1, F.q) for b in range(F.q)
+                if not scan_root_multiplicities(g := Poly(F, [c, b, 1])))
+
+
+@pytest.mark.parametrize("pk", [(2, 1), (3, 1), (13, 1), (103, 1), (3, 2), (7, 2),
+                                (5, 3), (2, 2), (2, 5), (2, 8)],
+                         ids=lambda pk: f"GF({pk[0] ** pk[1]})")
+@settings(max_examples=20, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_poly_analyze_matches_scalar_scan(pk, data):
+    # f = c * prod (x - a)^e * (a rootless quadratic) * rest: roots with
+    # multiplicity (0 among them: a zero constant term), or none at all
+    F = make_field(*pk)
+    f = Poly(F, [data.draw(st.integers(1, F.q - 1), label="lead")])
+    roots = data.draw(st.lists(st.tuples(elements(F), st.integers(1, 3)), max_size=4),
+                      label="roots")
+    for a, e in roots:
+        f = f * Poly.linear(F, a) ** e
+    if data.draw(st.booleans(), label="rootless"):
+        f = f * rootless_quadratic(F)
+    rest = Poly(F, data.draw(st.lists(elements(F), max_size=4), label="rest"))
+    if not rest.is_zero():
+        f = f * rest
+    want = scan_root_multiplicities(f)
+    analysis = poly_analyze(f)
+    assert analysis.roots == want
+    assert [a for a, _ in want] == sorted({a for a, _ in roots} | {a for a, _ in want})
+    if any(mult > 1 for _, mult in want):
+        assert not analysis.separable
+    if F.k == 1:  # separable = squarefree, by sympy over GF(p)
+        assert analysis.separable == gf_sqf_p(list(f.coeffs[::-1]), F.p, ZZ)
+    # the derivative against i * c_i as i-fold sums
+    folded = []
+    for i, c in enumerate(f.coeffs[1:], 1):
+        acc = 0
+        for _ in range(i):
+            acc = F.add(acc, c)
+        folded.append(acc)
+    assert f.derivative() == Poly(F, folded)
+
+
+def test_poly_analyze_evaluates_no_element_by_element(monkeypatch):
+    # the roots of phi_3 over GF(103^2) come from one array pass: the
+    # scalar evaluations are those of the multiplicity loop, mult + 1 per
+    # root, not one per element of the 10609
+    calls = []
+    eval_enc = Poly.eval_enc
+
+    def spy(f, a):
+        calls.append(a)
+        return eval_enc(f, a)
+
+    monkeypatch.setattr(Poly, "eval_enc", spy)
+    curve = dickson_curve_single(8, 103)
+    assert curve.lambdas == (1, 1, 1, 4)
+    assert len(calls) <= sum(mult + 1 for mult in [1, 1, 1])
+    assert sorted(set(calls)) == sorted(curve.alphas[:3])
 
 
 def test_poly_from_roots_and_derivative():
