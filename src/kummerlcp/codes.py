@@ -24,20 +24,21 @@ sum_t b_t(x) * y^t takes the value
 sum_t b_t(a) * y_j^t at (a, y_j), so the generator matrix is the k x mT
 x-part matrix R of eval_matrix (entry [i, t * T + j] = b_t(xs[j])) times a
 block-diagonal of invertible Vandermonde matrices V_a[t, j] = y_j^t, and
-has the rank of R.  Row i of R lies in the weight blocks of basis[i]'s
-terms: R is block-diagonal by weight, except where a row of the delta = 1
-functional joins two weights.  x_part_rank reads these components off the
-basis and sums their ranks by residue (_residue_rank): per weight, the
-terms become polynomials over the lcm of their denominators, a group of
-single-term rows x^j / D(x), j = 0..d, spans the multiples of one
-polynomial, and every other row leaves its residue modulo that span.  A
-weight whose single-weight rows reach rank T (such a group with d + 1 >= T
-always does) absorbs every other part there.  gf_rank ranks the one
-residue matrix of a component; only an unsaturated weight of degree >= T
-or a numerator factor falls back to gf_rank of the component's rows of R,
-which no single code's basis does.  Dense gf_rank of a whole generator
-matrix is the test oracle.  A code stores no matrix: lcp_verify evaluates
-only the rows that fall back, and LinearCode.gen() evaluates on demand.
+has the rank of R.  x_part_rank ranks R in one pass over the weights of
+the basis: per weight, the terms become polynomials over the lcm of their
+denominators, a group of single-term rows x^j / D(x), j = 0..d, spans the
+multiples of one polynomial, and every other part leaves its residue
+modulo that span, a column block of one residue matrix.  A weight whose
+single-weight rows reach rank T (such a group with d + 1 >= T always does)
+adds T, and every other part there drops out.  Only a numerator factor, a
+negative power of x or an unsaturated weight of degree >= T puts the
+evaluated values of its parts into that matrix instead, which no single
+code's basis does (x_part_rank's docstring has the proof).  Residues and
+values mix in one matrix because each replaces one weight's block of R by
+its image under a linear map injective on the span of that block's rows,
+which keeps the rank of R.  gf_rank of the one matrix completes the rank;
+dense gf_rank of a whole generator matrix is the test oracle.  A code
+stores no matrix: LinearCode.gen() evaluates on demand.
 """
 
 from __future__ import annotations
@@ -204,12 +205,13 @@ def infinity_functional(curve: KummerCurve, c_inf: int,
     ram = curve.ram
     lam_bar = ram.lam_sum // ram.d_inf
     # x^{a'} y^{b'} with valuation +c_inf at every infinite place:
-    # -e_inf * a' - lam_bar * b' = c_inf, solvable since gcd = 1
-    g, u, w = _ext_gcd(ram.e_inf, lam_bar)
+    # -e_inf * a' - lam_bar * b' = c_inf, solvable since gcd = 1; only b'
+    # enters the leading coefficient
+    g, _, w = _ext_gcd(ram.e_inf, lam_bar)
     if g != 1:
         raise BezoutFailure(
             f"gcd(e_inf, Lambda/d_inf) = {g} != 1")  # impossible by arithmetic
-    a1, b1 = -u * c_inf, -w * c_inf
+    b1 = -w * c_inf
     omega = curve.conjugate_labels("infinity")[0]
     total = 0
     for coeff, bf in elem.terms:
@@ -391,157 +393,147 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     return out
 
 
-def x_part_rank(field: FieldSpec, basis: list[SpaceElement], width: int,
-                rows) -> int:
-    """Rank of eval_matrix of `basis` at `width` x-values, whose rows for
-    the basis indices in the array `members` are rows(members).
+def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -> int:
+    """Rank of eval_matrix(curve, basis, fibers), in one pass over the
+    weights of the basis.
 
     The basis must already have passed eval_matrix's pole check at these
-    x-values: then no denominator, nor any lcm of them, vanishes at an
-    x-value.  Row i lies in the weight blocks of basis[i]'s terms, and a row
-    with several weights joins them into one component.  The matrix is
-    block-diagonal by component (a term that vanishes at the x-values only
-    makes the partition coarser), so its rank is the sum of the component
-    ranks: by residue (_residue_rank), else by gf_rank of the component's
-    rows on its weight columns.
-    """
-    label = {}  # weight -> least weight of its component, where joined
-    for elem in basis:
-        if len(elem.terms) > 1:
-            ts = {bf.t for _, bf in elem.terms}
-            joined = {label.get(t, t) for t in ts}
-            low = min(joined)
-            label = {t: low if c in joined else c for t, c in label.items()}
-            label.update(dict.fromkeys(ts, low))
-    components = {}
-    for i, elem in enumerate(basis):
-        if elem.terms:
-            t = elem.terms[0][1].t
-            components.setdefault(label.get(t, t), []).append(i)
-    rank = 0
-    for comp, members in sorted(components.items()):
-        comp_rank = _residue_rank(field, [basis[i] for i in members], width)
-        if comp_rank is None:
-            block = np.array(sorted({bf.t for i in members
-                                     for _, bf in basis[i].terms}))
-            block_cols = (block[:, None] * width + np.arange(width)).ravel()
-            comp_rank = gf_rank(field, rows(np.array(members))[:, block_cols])
-        rank += comp_rank
-    return rank
-
-
-def _residue_rank(field: FieldSpec, elems: list[SpaceElement], T: int) -> int | None:
-    """Rank of the rows of one component at T distinct x-values where no
-    denominator vanishes; None where a weight needs the evaluated rows.
+    fibers: then no denominator, nor any lcm of them, vanishes at one of
+    the T x-values.  The matrix is [R_0 | ... | R_(m-1)], one block of T
+    columns per weight, and its rank is unchanged when one block R_w is
+    replaced by its image under a linear map that is injective on the span
+    of R_w's rows.  Scaling the columns by L, reading off the coefficients
+    of polynomials of degree < T, and the identity (the evaluated values)
+    are such maps.  Eliminating by a row whose only part is at w touches
+    only block w.  So each weight is handled on its own, adds a count, and
+    puts either nothing or one column block into a single matrix, whose
+    gf_rank completes the rank.
 
     At weight w, L is the lcm of the denominators D of the terms there
-    (the highest power of each factor), and multiplying each column by L at
-    its x-value keeps the rank: a term c x^j / D becomes the polynomial
-    c x^j (L / D).  Side 1 is a group of single-term rows x^j / D_1,
-    j = 0..d, of the highest degree d + deg c_1, where c_1 = L / D_1 (if
-    there is none, d = -1 and c_1 = 1).  Its rows span the multiples of c_1
-    of degree <= d + deg c_1, and the residue of any polynomial P modulo
-    that span is (P mod c_1, the coefficients of P div c_1 in degrees > d).
-    While every polynomial at w has degree < T, evaluation at the T x-values
-    is injective on them, so the weight adds d + 1 and one column block to
-    the residue matrix of the other rows.
+    (the highest power of each factor), and a term c x^j / D becomes the
+    polynomial c x^j (L / D).  Side 1 is a group of single-term rows
+    x^j / D_1, j = 0..d, of the highest degree d + deg c_1, where
+    c_1 = L / D_1 (if there is none, d = -1 and c_1 = 1).  Its rows span
+    the multiples of c_1 of degree <= d + deg c_1, and the residue of any
+    polynomial P modulo that span is (P mod c_1, the coefficients of
+    P div c_1 in degrees > d).  While every polynomial at w has degree < T,
+    the weight adds d + 1 and the residues of the other parts there.
 
     A weight is saturated when its single-weight rows reach rank T: side 1
     alone with d + 1 >= T, whatever other rows are there (its rows are a
     Vandermonde matrix times the invertible diagonal 1 / D_1), or side 1
     plus the residues of the other single-weight rows, all of degree < T,
-    when only parts of rows that join weights reach degree T.  It adds T,
-    and every other part at that weight drops out.
+    when only parts of rows that join weights reach degree T (checked by
+    its own gf_rank).  It adds T, and every other part at that weight
+    drops out.
 
-    The rank is the sum of these counts plus gf_rank of the residue matrix.
     A numerator factor (r < 0), a negative power of x, or an unsaturated
-    weight of degree >= T gives None.
+    weight of degree >= T makes the weight evaluated: every row with a part
+    there, side 1 included, gets that part's T values (one eval_matrix
+    call on the weight-w parts alone) as its column block, and the weight
+    adds no count.
 
-    No code's rr_basis gives None.  Its factors have r > 0 and its powers
-    of x are j >= 0.  Each weight has one factor set D, and the delta = 1
-    functional joins only each weight's top term x^(d+1) / D: the valuation
-    at Q_infinity falls as j grows, so only the top term can reach -n_0.
-    The single rows there are x^j / D, j = 0..d.  So L = D and c_1 = 1,
-    and either d + 1 >= T saturates the weight, or every polynomial at it
-    has degree <= d + 1 < T.  No bound on deg G is needed.  Stacks of two
-    codes' bases, and other hand-built rows, may still fall back.
+    No code's rr_basis evaluates a weight.  Its factors have r > 0 and its
+    powers of x are j >= 0.  Each weight has one factor set D, and the
+    delta = 1 functional joins only each weight's top term x^(d+1) / D: the
+    valuation at Q_infinity falls as j grows, so only the top term can
+    reach -n_0.  The single rows there are x^j / D, j = 0..d.  So L = D and
+    c_1 = 1, and either d + 1 >= T saturates the weight, or every
+    polynomial at it has degree <= d + 1 < T.  No bound on deg G is needed.
+    Stacks of two codes' bases, and other hand-built rows, may still
+    evaluate a weight.
     """
-    singles, others = {}, []  # (weight, factors) -> exponents; the rest
-    for elem in elems:
-        if len(elem.terms) == 1 and elem.terms[0][0]:
-            bf = elem.terms[0][1]
-            singles.setdefault((bf.t, bf.factors), []).append(bf.xpow)
-        else:
-            parts = {}  # the row's terms by weight
-            for c, bf in elem.terms:
-                parts.setdefault(bf.t, []).append((c, bf.xpow, bf.factors))
-            others.append(parts)
-    joined = {k for k, parts in enumerate(others) if len(parts) > 1}
-    rank, width, pieces = 0, 0, {}  # pieces: row -> [(column, residue), ...]
-    for w in sorted({t for t, _ in singles}.union(*others)):
-        groups = {f: js for (t, f), js in singles.items() if t == w}
-        rows = [(k, parts[w]) for k, parts in enumerate(others) if w in parts]
-        factor_sets = set(groups).union(*({f for *_, f in terms} for _, terms in rows))
-        if any(r < 0 for f in factor_sets for _, r in f):
-            return None
+    field = curve.field
+    T = len(_require_fibers(curve, fibers).xs)
+    at, joined = {}, set()  # weight -> {row: its terms there}; rows of several weights
+    for k, elem in enumerate(basis):
+        if len(elem.terms) == 1:  # nearly every row of a code's basis
+            at.setdefault(elem.terms[0][1].t, {})[k] = elem.terms
+            continue
+        parts = {}
+        for c, bf in elem.terms:
+            parts.setdefault(bf.t, []).append((c, bf))
+        for w, terms in parts.items():
+            at.setdefault(w, {})[k] = terms
+        if len(parts) > 1:
+            joined.add(k)
+    rank, width, pieces = 0, 0, {}  # pieces: row -> [(column, block), ...]
+    for w in sorted(at):
+        part = at[w]
+        groups, rest = {}, {}  # D -> {row: j} of the single-term rows x^j / D; the rest
+        for k, terms in part.items():
+            if len(terms) == 1 and terms[0][0] and k not in joined:
+                groups.setdefault(terms[0][1].factors, {})[k] = terms[0][1].xpow
+            else:
+                rest[k] = terms
+        factor_sets = set(groups).union(*({bf.factors for _, bf in terms}
+                                          for terms in rest.values()))
         top = {}  # L = prod (x - alpha)^top[alpha]
         for f in factor_sets:
             for alpha, r in f:
                 top[alpha] = max(top.get(alpha, 0), r)
         side, d1, n1 = None, -1, -1  # n1 = d1 + deg c_1
         for f, js in groups.items():
-            d = len(set(js)) - 1
+            exps = set(js.values())
+            d = len(exps) - 1
             n = d + sum(top.values()) - sum(r for _, r in f)
-            if min(js) == 0 and max(js) == d and n > n1:
+            if min(exps) == 0 and max(exps) == d and n > n1:
                 side, d1, n1 = f, d, n
-        rows += [((w, f, i), [(1, j, f)]) for f, js in groups.items() if f != side
-                 for i, j in enumerate(js)]
-        if any(j < 0 for _, terms in rows for _, j, _ in terms):
-            return None
-        cofactors = {}
+        rest.update((k, part[k]) for f, js in groups.items() if f != side for k in js)
+        evaluate = any(r < 0 for f in factor_sets for _, r in f) or \
+            any(bf.xpow < 0 for terms in rest.values() for _, bf in terms)
+        if not evaluate:
+            if d1 + 1 >= T:
+                rank += T
+                continue
+            cofactors = {}
 
-        def cofactor(f):  # the coefficients of L / D
-            if f not in cofactors:
-                r = dict(f)
-                coeffs = [1]
-                for alpha, e in top.items():
-                    minus = field.neg(alpha)
-                    for _ in range(e - r.get(alpha, 0)):  # times (x - alpha)
-                        coeffs = [field.add(lo, field.mul(minus, hi))
-                                  for lo, hi in zip([0] + coeffs, coeffs + [0])]
-                cofactors[f] = coeffs
-            return cofactors[f]
+            def cofactor(f):  # the coefficients of L / D
+                if f not in cofactors:
+                    r = dict(f)
+                    coeffs = [1]
+                    for alpha, e in top.items():
+                        minus = field.neg(alpha)
+                        for _ in range(e - r.get(alpha, 0)):  # times (x - alpha)
+                            coeffs = [field.add(lo, field.mul(minus, hi))
+                                      for lo, hi in zip([0] + coeffs, coeffs + [0])]
+                    cofactors[f] = coeffs
+                return cofactors[f]
 
-        def poly(terms):
-            out = [0] * max(j + len(cofactor(f)) for _, j, f in terms)
-            for c, j, f in terms:
-                for i, a in enumerate(cofactor(f), j):
-                    out[i] = field.add(out[i], field.mul(c, a))
-            return Poly(field, out)
+            def poly(terms):
+                out = [0] * max(bf.xpow + len(cofactor(bf.factors)) for _, bf in terms)
+                for c, bf in terms:
+                    for i, a in enumerate(cofactor(bf.factors), bf.xpow):
+                        out[i] = field.add(out[i], field.mul(c, a))
+                return Poly(field, out)
 
-        c1 = Poly(field, [1] if side is None else cofactor(side))
-        polys = [(k, poly(terms)) for k, terms in rows]
-        local = [P for k, P in polys if k not in joined]
-        n_local = max([n1] + [P.degree for P in local])
-        n_all = max([n1] + [P.degree for _, P in polys])
-        if d1 + 1 >= T:
-            rank += T
-        elif n_all < T:
-            rank += d1 + 1
-            cols = n_all - d1
-            for k, P in polys:
-                pieces.setdefault(k, []).append((width, _residue(P, c1, d1, cols)))
-            width += cols
-        elif n_local < T and d1 + 1 + _nonempty_rank(field, np.array(
-                [_residue(P, c1, d1, n_local - d1) for P in local],
-                dtype=np.int64).reshape(len(local), n_local - d1)) == T:
-            rank += T
-        else:
-            return None
+            c1 = Poly(field, [1] if side is None else cofactor(side))
+            polys = {k: poly(terms) for k, terms in rest.items()}
+            local = [P for k, P in polys.items() if k not in joined]
+            n_local = max([n1] + [P.degree for P in local])
+            n_all = max([n1] + [P.degree for P in polys.values()])
+            if n_all < T:
+                rank += d1 + 1
+                cols = n_all - d1
+                blocks = {k: _residue(P, c1, d1, cols) for k, P in polys.items()}
+            elif n_local < T and d1 + 1 + _nonempty_rank(field, np.array(
+                    [_residue(P, c1, d1, n_local - d1) for P in local],
+                    dtype=np.int64).reshape(len(local), n_local - d1)) == T:
+                rank += T
+                continue
+            else:
+                evaluate = True
+        if evaluate:
+            values = eval_matrix(curve, [SpaceElement(tuple(terms))
+                                         for terms in part.values()], fibers)
+            blocks, cols = dict(zip(part, values[:, w * T:(w + 1) * T])), T
+        for k, block in blocks.items():
+            pieces.setdefault(k, []).append((width, block))
+        width += cols
     M = np.zeros((len(pieces), width), dtype=np.int64)
     for row, parts in zip(M, pieces.values()):
-        for col, residue in parts:
-            row[col:col + len(residue)] = residue
+        for col, block in parts:
+            row[col:col + len(block)] = block
     return rank + _nonempty_rank(field, M)
 
 
@@ -644,9 +636,9 @@ def build_code(curve: KummerCurve, G: Divisor, fibers: Fibers) -> LinearCode:
     if len(basis) != k:
         raise DimensionMismatch(
             f"basis size {len(basis)} != deg - g + 1 = {k}")
+    eval_matrix(curve, basis, fibers)  # raises PoleAtEvaluationPlace, UnsupportedShape
     # the generator matrix has the rank of its weight-coordinate matrix
-    X = eval_matrix(curve, basis, fibers)
-    if x_part_rank(curve.field, basis, len(fibers.xs), lambda members: X[members]) != k:
+    if x_part_rank(curve, basis, fibers) != k:
         raise DimensionMismatch("generator matrix rank below ell(G)")
     return LinearCode(curve.field, n, k, G, n - deg, basis, fibers)
 
@@ -655,8 +647,7 @@ def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
     """True iff the two codes intersect trivially and span everything.
 
     The stacked generator matrix has the rank of the x-part matrix of the
-    stacked bases, since both codes share their evaluation places; only the
-    rows of components that fall back to gf_rank are evaluated.
+    stacked bases, since both codes share their evaluation places.
     """
     if C.n != E.n or C.field != E.field or C.fibers.places != E.fibers.places:
         raise LengthMismatch("codes must share length, field and places")
@@ -664,19 +655,22 @@ def lcp_verify(C: LinearCode, E: LinearCode) -> bool:
     fibers = _require_fibers(curve, E.fibers)
     if C.k + E.k != C.n:
         return False
-    basis = C.basis + E.basis
-    return x_part_rank(C.field, basis, len(fibers.xs), lambda members: eval_matrix(
-        curve, [basis[i] for i in members], fibers)) == C.n
+    return x_part_rank(curve, C.basis + E.basis, fibers) == C.n
 
 
 def min_distance_exact(code: LinearCode, cap: int = ENUM_CAP) -> int:
-    """Minimum Hamming weight by exhaustive codeword enumeration."""
+    """Minimum Hamming weight by exhaustive codeword enumeration.
+
+    A code with k = 0 has no nonzero word; its distance is n + 1, the
+    Singleton bound n - k + 1.  build_code reaches k = 0 only when g = 0
+    and deg G = -1, where n + 1 is the designed distance n - deg G.
+    """
     F = code.field
     q, k, n = F.q, code.k, code.n
     if q**k > cap:
         raise TooLargeToEnumerate(f"q^k = {q**k} exceeds cap {cap}")
     gen = code.gen()
-    best = n
+    best = n + 1
     batch = max(1, min(q**k, 1 << 14))
     total = q**k
     start = 1  # skip the zero message

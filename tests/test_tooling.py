@@ -7,9 +7,10 @@ import tomllib
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kummerlcp import codes, make_curve
+from kummerlcp import codes, gf_rank, make_curve
 from kummerlcp.cli import main
 from kummerlcp.codes import fiber_values
 
@@ -120,21 +121,46 @@ def test_bench_sweep_op_sums_counts_once():
             snap["nonspecial.bulk_verdicts.cells"]) == (1, 15552)
 
 
-def test_bench_catalog_op_ranks_by_residue():
-    # the delta = 1 pairs of f169 and f49 rank their coupled components by
-    # residue: lcp_verify evaluates no rows (one eval_matrix call per code,
-    # 6, not 8) and gf_rank sees residue matrices of at most 9 x 9, not the
-    # 56 x 56 and 24 x 24 blocks of the joined weights (8264 cells)
+def _traced_op(name, monkeypatch):
+    """The trace of the seed-1 set-up and one op of a code workload, and the
+    number of nonzero entries in the matrices codes.gf_rank sees."""
     stagetrace, workloads = _bench_modules()
-    wl = workloads.WORKLOADS["catalog"]
-    inputs = wl.setup(1)
+    wl = workloads.WORKLOADS[name]
+    nonzeros = []
+
+    def spy(field, matrix):
+        nonzeros.append(int(np.count_nonzero(matrix)))
+        return gf_rank(field, matrix)
+
+    monkeypatch.setattr(codes, "gf_rank", spy)
     with stagetrace.Tracer() as tracer:
+        inputs = wl.setup(1)  # builds no code
         out = wl.op(inputs, 0)
         snap = tracer.snapshot()
     assert wl.check(inputs, 0, out) is None
+    assert stagetrace.coverage_gaps(snap, name) == []
+    return snap, sum(nonzeros)
+
+
+def test_bench_catalog_op_ranks_by_residue(monkeypatch):
+    # the delta = 1 pairs of f169 and f49 rank their coupled weights by
+    # residue: lcp_verify evaluates nothing (one eval_matrix call per code,
+    # 6, where an evaluated weight would add one) and gf_rank sees 162
+    # nonzeros in one residue matrix per rank pass plus a saturation check
+    # per stacked f169 or f49 pair, not the 56 x 56 and 24 x 24 evaluated
+    # blocks of the joined weights
+    snap, nonzeros = _traced_op("catalog", monkeypatch)
     assert snap["codes.eval_matrix.calls"] == 6
-    assert snap["codes.gf_rank.cells"] < 1500
-    assert stagetrace.coverage_gaps(snap, "catalog") == []
+    assert (snap["codes.gf_rank.calls"], nonzeros) == (9, 162)
+
+
+def test_bench_dickson103_op_ranks_by_residue(monkeypatch):
+    # one eval_matrix call per build_code, and one gf_rank call for the
+    # pair: the stack's eight 3 x 3 diagonal remainders (the codes' own
+    # weights saturate), so a slide back to evaluated rank shows as a count
+    snap, nonzeros = _traced_op("dickson103_n400", monkeypatch)
+    assert snap["codes.eval_matrix.calls"] == 2
+    assert (snap["codes.gf_rank.calls"], nonzeros) == (1, 24)
 
 
 def _declared_requirements():
