@@ -325,6 +325,22 @@ def _require_fibers(curve: KummerCurve, fibers) -> Fibers:
     return fibers
 
 
+def _check_poles(basis: list[SpaceElement], xs: np.ndarray) -> None:
+    """Raise PoleAtEvaluationPlace if a term of the basis has a pole at one
+    of the x-values xs: a factor (x - alpha)^(-r) with r > 0 and alpha among
+    them, or a negative power of x with 0 among them.  Reads only the terms,
+    no field operations."""
+    values = set(xs.tolist())
+    functions = [bf for elem in basis for _, bf in elem.terms]
+    for f in dict.fromkeys(bf.factors for bf in functions):
+        for alpha, r in f:
+            if r > 0 and alpha in values:
+                raise PoleAtEvaluationPlace(
+                    f"pole at x = {alpha} among evaluation places")
+    if 0 in values and any(bf.xpow < 0 for bf in functions):
+        raise PoleAtEvaluationPlace("pole at x = 0 among evaluation places")
+
+
 def split_place_list(curve: KummerCurve, a_values) -> Fibers:
     """The fibers above distinct completely split x-values, places sorted."""
     values = sorted(int(v) for v in a_values)
@@ -348,12 +364,15 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     element takes the value sum_t [i, t * T + j] * y^t, so this k x mT
     matrix has the generator matrix's shape and rank.
 
-    All terms are evaluated together: one pow_arr of xs to every term's
-    exponent, one mul_arr by every term's denominator vector (one vector per
-    distinct factor set) and one by every coefficient.  Terms that share a
-    (row, weight) cell are summed by add_arr, one call per term beyond the
-    first in the fullest cell, so the field kernel calls grow with the
-    number of denominators, not of terms.
+    All terms are evaluated together.  The D distinct factor sets become
+    one exponent matrix over the A distinct alpha's (-r, summed when a set
+    names an alpha twice), and one pow_prod of the A x T differences
+    xs - alpha gives every denominator vector.  Then one pow_arr of xs to
+    every term's exponent, one mul_arr by every term's denominator vector
+    and one by every coefficient.  Terms that share a (row, weight) cell are
+    summed by add_arr, one call per term beyond the first in the fullest
+    cell, so the field kernel calls grow with neither the number of terms
+    nor of denominators.
     """
     F = curve.field
     xs = _require_fibers(curve, fibers).xs
@@ -366,15 +385,16 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     row, t, xpow, coeff, factors = zip(*terms)
     if not set(t) <= set(range(m)):
         raise UnsupportedShape(f"basis weights {sorted(set(t))} leave [0, {m})")
+    _check_poles(basis, xs)
     den_index = {f: k for k, f in enumerate(dict.fromkeys(factors))}
-    dens = np.ones((len(den_index), T), dtype=np.int64)
+    col = {alpha: j for j, alpha in
+           enumerate(dict.fromkeys(alpha for f in den_index for alpha, _ in f))}
+    exps = np.zeros((len(den_index), len(col)), dtype=np.int64)
     for f, k in den_index.items():  # prod (x - alpha)^(-r) at xs
         for alpha, r in f:
-            base = F.sub_arr(xs, alpha)
-            if r > 0 and (base == 0).any():
-                raise PoleAtEvaluationPlace(
-                    f"pole at x = {alpha} among evaluation places")
-            dens[k] = F.mul_arr(dens[k], F.pow_arr(base, -r))
+            exps[k, col[alpha]] -= r
+    diffs = F.sub_arr(xs[None, :], np.array(list(col), dtype=np.int64)[:, None])
+    dens = F.pow_prod(diffs, exps)
     vals = F.pow_arr(xs[None, :], np.array(xpow)[:, None])
     vals = F.mul_arr(vals, dens[[den_index[f] for f in factors]])
     vals = F.mul_arr(vals, np.array(coeff)[:, None])
@@ -397,9 +417,9 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
     """Rank of eval_matrix(curve, basis, fibers), in one pass over the
     weights of the basis.
 
-    The basis must already have passed eval_matrix's pole check at these
-    fibers: then no denominator, nor any lcm of them, vanishes at one of
-    the T x-values.  The matrix is [R_0 | ... | R_(m-1)], one block of T
+    The basis passes eval_matrix's pole check first (PoleAtEvaluationPlace
+    if not), so no denominator, nor any lcm of them, vanishes at one of the
+    T x-values.  The matrix is [R_0 | ... | R_(m-1)], one block of T
     columns per weight, and its rank is unchanged when one block R_w is
     replaced by its image under a linear map that is injective on the span
     of R_w's rows.  Scaling the columns by L, reading off the coefficients
@@ -444,7 +464,9 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
     evaluate a weight.
     """
     field = curve.field
-    T = len(_require_fibers(curve, fibers).xs)
+    xs = _require_fibers(curve, fibers).xs
+    _check_poles(basis, xs)
+    T = len(xs)
     at, joined = {}, set()  # weight -> {row: its terms there}; rows of several weights
     for k, elem in enumerate(basis):
         if len(elem.terms) == 1:  # nearly every row of a code's basis

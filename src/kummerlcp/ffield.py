@@ -12,7 +12,8 @@ over GF(p), and the discrete-log tables come from the modulus' companion
 matrix by doubling.  The tables carry a zero sentinel, so a product, scalar
 or vectorized, is one table lookup.  Addition and negation each run one
 digit loop over the k coefficients (a single digit in a prime field), the
-same code for integers and for int64 arrays.
+same code for integers and for int64 arrays.  A product of powers of
+several arrays (pow_prod) is one integer matrix product of logarithms.
 """
 
 from __future__ import annotations
@@ -213,6 +214,22 @@ class FieldSpec:
         if (e[zero] < 0).any():
             raise ZeroDivisionError("negative power of zero")
         return np.where(zero, e == 0, self._exp[(self._log[a] * e) % (self.q - 1)])
+
+    def pow_prod(self, bases, exps):
+        """Row i is prod_j bases[j] ** exps[i, j], elementwise over the
+        columns of bases (A x T, with exps D x A): one integer matrix product
+        of logarithms.  Zero bases follow pow_arr: 0 ** 0 = 1, a positive
+        power is 0 and a negative one raises.  Those masks read the exponents
+        before they are reduced modulo q - 1, so the result is exact for any
+        int64 exponent."""
+        bases = np.asarray(bases, dtype=np.int64)
+        exps = np.asarray(exps, dtype=np.int64)
+        zero = (bases == 0).astype(np.int64)
+        if ((exps < 0) @ zero).any():
+            raise ZeroDivisionError("negative power of zero")
+        # log 0 is the sentinel 2 (q - 1): a zero base adds 0 modulo q - 1
+        logs = (exps % (self.q - 1)) @ self._log[bases] % (self.q - 1)
+        return np.where((exps > 0) @ zero > 0, 0, self._exp[logs])
 
     # -- misc --
 

@@ -496,8 +496,9 @@ def test_eval_matrix_rejects_poles_and_bad_weights(f49):
         [SpaceElement.single(BasisFunction(1, j, ((b, 2),))) for j in range(3)] + rows,
     ]
     for basis in cases:
-        with pytest.raises(PoleAtEvaluationPlace, match=f"x = {a}"):
-            eval_matrix(f49, basis, fibers)
+        for evaluate_or_rank in (eval_matrix, x_part_rank):
+            with pytest.raises(PoleAtEvaluationPlace, match=f"x = {a}"):
+                evaluate_or_rank(f49, basis, fibers)
     # a pole-free denominator and a numerator at a evaluate
     eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ((b, 1), (a, -1))))],
                 fibers)
@@ -510,6 +511,42 @@ def test_eval_matrix_rejects_poles_and_bad_weights(f49):
     pair = lcp_build_regime(f49, "lambda_two", s=2)
     with pytest.raises(PoleAtEvaluationPlace):
         eval_matrix(f49, pair.C.basis + pair.E.basis + cases[0], pair.C.fibers)
+
+
+def test_poles_raise_in_eval_matrix_and_x_part_rank(f49, zero_split):
+    # x^j / (x - a_0), j = 0, 1, at the first four split values of f49, a_0
+    # the first of them: rows x_part_rank would rank by residue, without
+    # evaluating; and x^(-1) at the split value 0 of zero_split, a pole (a
+    # KummerError), not a ZeroDivisionError from the field
+    values = completely_split_values(f49)[:4]
+    rows = [SpaceElement.single(BasisFunction(0, j, ((values[0], 1),))) for j in range(2)]
+    x_inv = [SpaceElement.single(BasisFunction(1, -1, ()))]
+    for curve, basis, fibers, pole in (
+            (f49, rows, split_place_list(f49, values), values[0]),
+            (zero_split, x_inv, split_place_list(zero_split, [0, 6]), 0)):
+        for evaluate_or_rank in (eval_matrix, x_part_rank):
+            with pytest.raises(PoleAtEvaluationPlace, match=f"pole at x = {pole} "):
+                evaluate_or_rank(curve, basis, fibers)
+    # away from 0, x^(-1) has no pole: its weight is evaluated
+    fibers = split_place_list(zero_split, [6, 7])
+    assert x_part_rank(zero_split, x_inv, fibers) == 1
+
+
+def test_eval_matrix_sums_a_repeated_factor(f49):
+    # a factor set may name an alpha twice: (x - b) / (x - b)^3 = (x - b)^2,
+    # and (x - a)^1 (x - a)^2 at the x-value a is 0; the exponents add
+    values = completely_split_values(f49)[:3]
+    fibers = split_place_list(f49, values)
+    a, b = values[0], f49.alphas[0]
+    basis = [SpaceElement.single(BasisFunction(t, j, f)) for t, j, f in (
+        (0, 0, ((b, 1), (b, -3))), (1, 2, ((b, 1), (b, -3))),
+        (2, 1, ((a, -1), (a, -2))), (0, 1, ((b, 2), (a, -1), (b, -2))))]
+    X = eval_matrix(f49, basis, fibers)
+    assert expand_x_part(f49.field, X, fibers.places) \
+        == scalar_gen(f49.field, basis, fibers.places)
+    merged = [SpaceElement.single(BasisFunction(t, j, f)) for t, j, f in (
+        (0, 0, ((b, -2),)), (1, 2, ((b, -2),)), (2, 1, ((a, -3),)), (0, 1, ((a, -1),)))]
+    assert np.array_equal(X, eval_matrix(f49, merged, fibers))
 
 
 def test_min_distance_toy_codes(toy9):
@@ -1178,7 +1215,7 @@ def test_quartic103_n1600_ranks_by_residue(rank_calls):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """How often each FieldSpec.*_arr kernel is called, nested calls included."""
+    """How often each FieldSpec array kernel is called, nested calls included."""
     calls = {}
 
     def spy(name, kernel):
@@ -1187,7 +1224,7 @@ def kernel_calls(monkeypatch):
             return kernel(*args, **kwargs)
         return counted
 
-    for name in ("add_arr", "sub_arr", "neg_arr", "mul_arr", "pow_arr"):
+    for name in ("add_arr", "sub_arr", "neg_arr", "mul_arr", "pow_arr", "pow_prod"):
         monkeypatch.setattr(FieldSpec, name, spy(name, getattr(FieldSpec, name)))
     return calls
 
@@ -1212,6 +1249,23 @@ def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls
         counts.append(dict(kernel_calls))
     assert counts[0] == counts[1]
     assert sum(counts[0].values()) < len(cut) * 20
+
+
+def test_eval_matrix_kernel_calls_are_constant(f169, kernel_calls):
+    # the f169 pair's bases: 6 factor sets each, with 14 (C) and 28 (E)
+    # (alpha, r) entries; every denominator comes from one sub_arr and one
+    # pow_prod, so the kernel calls do not grow with the entries
+    pair = lcp_build_regime(f169, "lambda_two", s=2)
+    counts = []
+    for code, entries in ((pair.C, 14), (pair.E, 28)):
+        factor_sets = {bf.factors for elem in code.basis for _, bf in elem.terms}
+        assert (len(factor_sets), sum(map(len, factor_sets))) == (6, entries)
+        kernel_calls.clear()
+        eval_matrix(f169, code.basis, code.fibers)
+        counts.append(dict(kernel_calls))
+    assert counts[0] == counts[1]
+    assert counts[1]["sub_arr"] == counts[1]["pow_prod"] == 1
+    assert sum(counts[1].values()) == 7  # sub_arr's add_arr and neg_arr included
 
 
 def test_dickson103_pair_n2400(dickson103):

@@ -211,6 +211,48 @@ def test_pow_arr_array_exponents_match_scalar(field):
         F.pow_arr(0, -1)
 
 
+def scalar_pow_prod(F, bases, exps):
+    """Oracle for pow_prod: each entry a product of scalar pow's by mul."""
+    return [[functools.reduce(F.mul, (F.pow(b, e) for b, e in zip(col, row)), 1)
+             for col in zip(*bases)] for row in exps]
+
+
+@pytest.mark.parametrize("pk", [(3, 2), (7, 2), (13, 2), (103, 2), (2, 4)],
+                         ids=lambda pk: f"GF({pk[0] ** pk[1]})")
+def test_pow_prod_matches_scalar(pk):
+    F = make_field(*pk)
+    q = F.q
+    rng = random.Random(q)
+    # bases 0 and 1 hold zeros and take only exponents >= 0, among them
+    # multiples of q - 1 (which still send 0 to 0); bases 2 and 3 are
+    # nonzero and take any exponent, negative and beyond int32 included
+    T = 12
+    bases = [[0, 0, 1, 0] + [rng.randrange(q) for _ in range(T - 4)],
+             [0, 1, 0, 0] + [rng.randrange(q) for _ in range(T - 4)],
+             [rng.randrange(1, q) for _ in range(T)],
+             [rng.randrange(1, q) for _ in range(T)]]
+    nonneg = [0, 1, 2, q - 2, q - 1, q, 2 * (q - 1), 3 * q + 1, 10**12]
+    signed = nonneg + [-1, -(q - 1), -q, -10**12 - 3]
+    exps = [[0, 0, 0, 0], [q - 1, q - 1, q - 1, q - 1], [0, q - 1, -(q - 1), 1]]
+    exps += [[rng.choice(nonneg), rng.choice(nonneg), rng.choice(signed),
+              rng.choice(signed)] for _ in range(20)]
+    assert F.pow_prod(bases, exps).tolist() == scalar_pow_prod(F, bases, exps)
+    # one base row is pow_arr; empty rows, columns and products
+    assert F.pow_prod(bases[2:3], [[-5], [q + 3]]).tolist() \
+        == [F.pow_arr(bases[2], e).tolist() for e in (-5, q + 3)]
+    assert F.pow_prod(np.zeros((0, T), np.int64), np.zeros((3, 0), np.int64)).tolist() \
+        == [[1] * T] * 3
+    assert F.pow_prod(bases, np.zeros((0, 4), np.int64)).shape == (0, T)
+    assert F.pow_prod(np.zeros((4, 0), np.int64), exps).shape == (len(exps), 0)
+    # a negative power of a zero base raises, a multiple of q - 1 included,
+    # and a zero exponent elsewhere in its row does not hide it
+    for row in ([-1, 0, 0, 0], [0, -(q - 1), 5, -2]):
+        with pytest.raises(ZeroDivisionError):
+            F.pow_prod(bases, [[0, 0, 0, 0], row])
+    with pytest.raises(ZeroDivisionError):
+        F.pow_prod([[0, 1]], [[1], [-1]])
+
+
 def test_nth_roots_properties(field):
     F = field
     for n in (1, 2, 3, F.q - 1 if F.q > 2 else 1):
