@@ -45,7 +45,6 @@ from .codes import (
     rr_basis,
 )
 from .instances import (
-    DicksonPoly,
     catalog,
     dickson,
     dickson_curve_double,

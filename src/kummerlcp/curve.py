@@ -162,12 +162,11 @@ class KummerCurve:
         return out
 
     def f_eval_arr(self, xs) -> np.ndarray:
-        """f(x) = a * prod (x - alpha_i)^lambda_i at an array of encodings."""
+        """f(x) = a * prod (x - alpha_i)^lambda_i at a 1-D array of
+        encodings: one pow_prod of the differences x - alpha_i."""
         F = self._require_field()
-        fx = np.full(np.shape(xs), self.a_enc, dtype=np.int64)
-        for alpha, lam in zip(self.alphas, self.lambdas):
-            fx = F.mul_arr(fx, F.pow_arr(F.sub_arr(xs, alpha), lam))
-        return fx
+        diffs = F.sub_arr(np.asarray(xs)[None, :], np.array(self.alphas)[:, None])
+        return F.mul_arr(F.pow_prod(diffs, [self.lambdas])[0], self.a_enc)
 
     def f_eval(self, a_enc: int) -> int:
         F = self._require_field()
@@ -540,10 +539,10 @@ def splitting_type(curve: KummerCurve, a) -> SplittingInfo:
     if curve.alphas and a_enc in curve.alphas:
         i = curve.alphas.index(a_enc)
         return SplittingInfo("branch", curve.branch_places(i))
-    fa = curve.f_eval(a_enc)
-    if F.pow(fa, (F.q - 1) // curve.m) == 1:
-        places = [Place("split", a=a_enc, y=y) for y in nth_roots(F, fa, curve.m)]
-        return SplittingInfo("split", places)
+    # f(a) != 0 off the branch points, so its m-th roots are m or none
+    ys = nth_roots(F, curve.f_eval(a_enc), curve.m)
+    if ys:
+        return SplittingInfo("split", [Place("split", a=a_enc, y=y) for y in ys])
     return SplittingInfo("inert-or-partial", [])
 
 

@@ -4,8 +4,6 @@ fully worked instances with expected values re-derived by the live pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codes import lcp_build_regime
 from .curve import KummerCurve, census, completely_split_values, make_curve
 from .errors import (
@@ -28,25 +26,18 @@ from .nonspecial import coeffs_lambda_two, criterion_check, enumerate_nonspecial
 from .curve import InvariantTuple
 
 
-@dataclass(frozen=True)
-class DicksonPoly:
-    """First-kind Dickson polynomial: phi_0 = 2, phi_1 = x,
-    phi_{d+1} = x*phi_d - phi_{d-1}."""
-
-    d: int
-    poly: Poly
-
-
-def dickson(d: int, field: FieldSpec) -> DicksonPoly:
+def dickson(d: int, field: FieldSpec) -> Poly:
+    """The first-kind Dickson polynomial phi_d over the field, a Poly:
+    phi_0 = 2, phi_1 = x, phi_{d+1} = x*phi_d - phi_{d-1}."""
     if d < 0:
         raise RegimeViolation(f"Dickson index must be >= 0, got {d}")
     prev = Poly.from_ints(field, [2])
     if d == 0:
-        return DicksonPoly(0, prev)
+        return prev
     cur = Poly.x(field)
     for _ in range(d - 1):
         prev, cur = cur, Poly.x(field) * cur - prev
-    return DicksonPoly(d, cur)
+    return cur
 
 
 def _field_q_squared(q: int) -> FieldSpec:
@@ -85,7 +76,7 @@ def dickson_curve_single(m: int, q: int) -> KummerCurve:
     F = _field_q_squared(q)
     minus_two = F.neg(2 % F.p)
     phi = dickson((m - 2) // 2, F)
-    roots = _simple_roots(phi.poly, (m - 2) // 2, {minus_two})
+    roots = _simple_roots(phi, (m - 2) // 2, {minus_two})
     branches = [(rho, 1) for rho in roots] + [(minus_two, m // 2)]
     return make_curve(F, m, branches)
 
@@ -101,7 +92,7 @@ def dickson_curve_double(m: int, q: int) -> KummerCurve:
     two = 2 % F.p
     minus_two = F.neg(two)
     phi = dickson(m + 1, F)
-    roots = _simple_roots(phi.poly, m + 1, {two, minus_two})
+    roots = _simple_roots(phi, m + 1, {two, minus_two})
     branches = [(rho, 1) for rho in roots] + [(two, m // 2), (minus_two, m // 2)]
     return make_curve(F, m, branches)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from kummerlcp import f49_curve, make_curve, make_field
+from kummerlcp.ffield import FieldSpec
 from kummerlcp.instances import f169_curve, dickson_curve_single
 
 # one line per acceptance criterion, printed after the run (outside capture)
@@ -59,3 +60,19 @@ def dickson_m8():
 def dickson103():
     # GF(103^2), 1557 completely split x-values
     return dickson_curve_single(8, 103)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """How often each FieldSpec array kernel is called, nested calls included."""
+    calls = {}
+
+    def spy(name, kernel):
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args, **kwargs)
+        return counted
+
+    for name in ("add_arr", "sub_arr", "neg_arr", "mul_arr", "pow_arr", "pow_prod"):
+        monkeypatch.setattr(FieldSpec, name, spy(name, getattr(FieldSpec, name)))
+    return calls

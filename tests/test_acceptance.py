@@ -303,7 +303,7 @@ def test_acceptance_06_quartic_curve_end_to_end():
 
 def test_acceptance_07_dickson_instance():
     F = make_field(7, 2)
-    phi3 = dickson(3, F).poly
+    phi3 = dickson(3, F)
     from kummerlcp.ffield import poly_analyze
 
     analysis = poly_analyze(phi3)

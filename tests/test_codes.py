@@ -58,7 +58,7 @@ from kummerlcp.errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from kummerlcp.ffield import FieldSpec, Poly
+from kummerlcp.ffield import Poly
 from kummerlcp.instances import _x2_quartic_curve, f169_curve
 
 
@@ -503,10 +503,12 @@ def test_eval_matrix_rejects_poles_and_bad_weights(f49):
     eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ((b, 1), (a, -1))))],
                 fibers)
     # a weight outside [0, m) has no column block
-    for t in (-1, f49.m):
-        with pytest.raises(UnsupportedShape, match="weights"):
-            eval_matrix(f49, [SpaceElement.single(BasisFunction(0, 0, ())),
-                              SpaceElement.single(BasisFunction(t, 0, ()))], fibers)
+    for t in (-1, f49.m, 3 * f49.m):
+        for evaluate_or_rank in (eval_matrix, x_part_rank):
+            with pytest.raises(UnsupportedShape, match="weights"):
+                evaluate_or_rank(f49, [SpaceElement.single(BasisFunction(0, 0, ())),
+                                       SpaceElement.single(BasisFunction(t, 0, ()))],
+                                 fibers)
     # the stacked bases of a pair with one such row
     pair = lcp_build_regime(f49, "lambda_two", s=2)
     with pytest.raises(PoleAtEvaluationPlace):
@@ -668,7 +670,8 @@ def test_lcp_half_double_regimes(hd_n1_curve, hd_n2_curve):
 
 def assert_div_h_from_fibers(curve, pair, values):
     """div(h), h = prod (x - a) over the split values, read off the pair's
-    fibers as the lmd identity does, equals principal_divisor of h."""
+    fibers as D - T div_inf(x), equals principal_divisor of h: the identity
+    the lmd check cancels D by."""
     fibers = pair.C.fibers
     assert fibers.xs.tolist() == sorted(values)
     div_h = Divisor({p: 1 for p in fibers.places}) \
@@ -1136,6 +1139,10 @@ def test_monomial_rank_branches(f49, zero_split, rank_calls, eval_calls):
         ([SpaceElement(((1, one), (1, x)))], 1, [(1, 2)], []),
         (monomial_rows(0, (), range(1)) + monomial_rows(0, ((a, 1),), range(1))
          + monomial_rows(0, ((b, 1),), range(1)), 3, [(2, 2)], []),
+        # a factor set naming a twice is (x - a)^2: side 1 is 1 / 1 with
+        # c_1 = L = (x - a)^2, and the rows 1, x leave two remainders
+        (monomial_rows(0, ((a, 1), (a, 1)), range(2)) + monomial_rows(0, (), range(1)),
+         3, [(2, 2)], []),
         # a factor with r < 0 is a numerator, here zero at an x-value: the
         # weight is evaluated, a 4 x T block
         (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 4)], [0]),
@@ -1211,22 +1218,6 @@ def test_quartic103_n1600_ranks_by_residue(rank_calls):
     assert (pair.C.n, pair.C.k, pair.E.k) == (1600, 1568, 32)
     assert pair.verified and pair.gcd_identity and pair.lmd_identity
     assert shapes(rank_calls) == [(1, 2), (1, 2), (4, 4), (29, 29)]
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """How often each FieldSpec array kernel is called, nested calls included."""
-    calls = {}
-
-    def spy(name, kernel):
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return kernel(*args, **kwargs)
-        return counted
-
-    for name in ("add_arr", "sub_arr", "neg_arr", "mul_arr", "pow_arr", "pow_prod"):
-        monkeypatch.setattr(FieldSpec, name, spy(name, getattr(FieldSpec, name)))
-    return calls
 
 
 def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from kummerlcp import (
     invariant_divisor,
     make_curve,
     make_field,
+    nth_roots,
     principal_divisor,
     restrict,
     splitting_type,
@@ -453,6 +455,39 @@ def test_splitting_types(f49):
                      if a not in f49.alphas
                      and a not in completely_split_values(f49))
     assert splitting_type(f49, non_split).kind == "inert-or-partial"
+
+
+@pytest.mark.parametrize("name", ["f49", "f169"])
+def test_splitting_type_splits_exactly_the_split_values(name, request):
+    # nth_roots alone decides: x = a splits iff f(a) has m-th roots
+    curve = request.getfixturevalue(name)
+    F = curve.field
+    split = set(completely_split_values(curve))
+    for a in range(F.q):
+        info = splitting_type(curve, a)
+        assert (info.kind == "split") == (a in split)
+        if info.kind == "split":
+            assert info.places == [Place("split", a=a, y=y)
+                                   for y in nth_roots(F, curve.f_eval(a), curve.m)]
+
+
+def test_f_eval_arr_matches_scalar_f_eval(toy9, f49, f169, dickson103):
+    # every element of the small fields; 500 drawn ones of GF(103^2), with
+    # the branch points, where f vanishes
+    for curve in (toy9, f49, f169):
+        xs = np.arange(curve.field.q)
+        assert curve.f_eval_arr(xs).tolist() == [curve.f_eval(a) for a in xs]
+    xs = random.Random(7).sample(range(dickson103.field.q), 500) + list(dickson103.alphas)
+    assert dickson103.f_eval_arr(np.array(xs)).tolist() \
+        == [dickson103.f_eval(a) for a in xs]
+
+
+def test_f_eval_arr_kernel_calls(dickson103, kernel_calls):
+    # one sub_arr (with its nested add_arr and neg_arr) against all branch
+    # points, one pow_prod by the lambdas and one mul_arr by a: no pow_arr
+    dickson103.f_eval_arr(np.arange(dickson103.field.q))
+    assert kernel_calls == {"sub_arr": 1, "add_arr": 1, "neg_arr": 1,
+                            "pow_prod": 1, "mul_arr": 1}
 
 
 def test_out_of_range_x_values_rejected(f169):

@@ -3,7 +3,6 @@ import io
 import re
 import shlex
 import sys
-import tomllib
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -165,6 +164,7 @@ def test_bench_dickson103_op_ranks_by_residue(monkeypatch):
 
 def _declared_requirements():
     """Import names of the dependencies and the test extra in pyproject."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; 3.10 has no TOML reader
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     reqs = project["dependencies"] + project["optional-dependencies"]["test"]
     return {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower().replace("-", "_")
