@@ -51,7 +51,6 @@ from .curve import (
 )
 from .errors import (
     AbstractField,
-    BezoutFailure,
     DegreeOutOfRange,
     DimensionMismatch,
     FormulaMismatch,
@@ -61,6 +60,7 @@ from .errors import (
     NotWholeFibers,
     PoleAtEvaluationPlace,
     RampPreconditionViolated,
+    RationalityError,
     RegimeViolation,
     SRangeEmpty,
     SupportOverlap,
@@ -191,46 +191,32 @@ def infinity_functional(curve: KummerCurve, c_inf: int,
     """Leading coefficient at Q_infinity of an element of L(A), where A has
     per-place coefficient c_inf at infinity.  The kernel of this map is
     exactly L(A - Q_infinity).
+
+    Only terms of valuation exactly -c_inf count, and a term below raises
+    UnsupportedShape.  Their weights agree modulo e_inf (Lambda/d_inf is
+    prime to e_inf), so they share one monomial mu = x^u * y^(t mod e_inf)
+    of valuation -c_inf, and b(x) * y^t / mu is (y^e_inf / x^(Lambda/d_inf))
+    ^(t // e_inf) times a unit that is 1 at Q_infinity.  That quotient takes
+    the value omega = conjugate_labels("infinity")[0] at Q_infinity, so the
+    functional is elem / mu there: the sum of c * omega^(t // e_inf).
+    Raises RationalityError if the places above infinity are not rational.
     """
     F = curve.field
-    ram = curve.ram
-    lam_bar = ram.lam_sum // ram.d_inf
-    # x^{a'} y^{b'} with valuation +c_inf at every infinite place:
-    # -e_inf * a' - lam_bar * b' = c_inf, solvable since gcd = 1; only b'
-    # enters the leading coefficient
-    g, _, w = _ext_gcd(ram.e_inf, lam_bar)
-    if g != 1:
-        raise BezoutFailure(
-            f"gcd(e_inf, Lambda/d_inf) = {g} != 1")  # impossible by arithmetic
-    b1 = -w * c_inf
-    omega = curve.conjugate_labels("infinity")[0]
+    labels = curve.conjugate_labels("infinity")
+    if not labels:
+        raise RationalityError(
+            "the places above infinity are not rational: "
+            f"w^{curve.ram.d_inf} = {curve.a_enc} has no root in GF({F.q})")
     total = 0
     for coeff, bf in elem.terms:
         v = basis_valuation(curve, bf, curve.q_infinity())
         if v < -c_inf:
             raise UnsupportedShape(
                 f"term has valuation {v} < {-c_inf} at Q_infinity")
-        if v > -c_inf:
-            continue
-        num = (bf.t + b1) * ram.d_inf
-        if num % curve.m:
-            raise BezoutFailure(
-                f"zero-valuation monomial exponent {num}/{curve.m} is not integral")
-        kappa = num // curve.m
-        total = F.add(total, F.mul(coeff, F.pow(omega, kappa)))
+        if v == -c_inf:
+            power = F.pow(labels[0], bf.t // curve.ram.e_inf)
+            total = F.add(total, F.mul(coeff, power))
     return total
-
-
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
@@ -245,14 +231,12 @@ def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
     funcs = []
     for t in range(curve.m):
         funcs.extend(_summand_basis(curve, A, t))
-    if delta == 0:
+    vals = [infinity_functional(curve, A.n0, SpaceElement.single(bf))
+            for bf in funcs] if delta else []
+    pivot = next((i for i, v in enumerate(vals) if v), None)
+    if pivot is None:  # delta = 0, or the functional vanishes on L(A)
         return [SpaceElement.single(bf) for bf in funcs]
     F = curve.field
-    vals = [infinity_functional(curve, A.n0, SpaceElement.single(bf))
-            for bf in funcs]
-    pivot = next((i for i, v in enumerate(vals) if v), None)
-    if pivot is None:
-        return [SpaceElement.single(bf) for bf in funcs]
     out = []
     for i, bf in enumerate(funcs):
         if i == pivot:
@@ -346,7 +330,8 @@ def _check_terms(basis: list[SpaceElement], xs: np.ndarray, m: int) -> None:
 
 def split_place_list(curve: KummerCurve, a_values) -> Fibers:
     """The fibers above distinct completely split x-values, places sorted."""
-    values = sorted(int(v) for v in a_values)
+    F = curve._require_field()
+    values = sorted(F._element(v, "x") for v in a_values)
     repeated = sorted({a for a, b in zip(values, values[1:]) if a == b})
     if repeated:
         raise NotWholeFibers(f"split x-values repeated: {repeated}")

@@ -98,16 +98,13 @@ class KummerCurve:
             alphas = []
             lambdas = []
             for alpha, lam in branches:
-                alphas.append(int(alpha))
+                alphas.append(field._element(alpha, "alpha"))
                 lambdas.append(int(lam))
             if len(set(alphas)) != len(alphas):
                 raise DuplicateBranch(f"branch points not distinct: {alphas}")
             if field.p != 0 and self.m % field.p == 0:
                 raise CharDividesM(f"char {field.p} divides m={self.m}")
-            a_enc = int(a)
-            outside = [v for v in alphas + [a_enc] if not 0 <= v < field.q]
-            if outside:
-                raise NotAnElement(f"encodings {outside} lie outside [0, {field.q})")
+            a_enc = field._element(a, "a")
             if a_enc == 0:
                 raise GcdViolation("leading coefficient a must be nonzero")
         if not lambdas:
@@ -533,9 +530,7 @@ class SplittingInfo:
 def splitting_type(curve: KummerCurve, a) -> SplittingInfo:
     """Decomposition of the place x = a in the extension."""
     F = curve._require_kummer_rational()
-    a_enc = int(a)
-    if not 0 <= a_enc < F.q:
-        raise NotAnElement(f"x = {a_enc} lies outside [0, {F.q})")
+    a_enc = F._element(a, "x")
     if curve.alphas and a_enc in curve.alphas:
         i = curve.alphas.index(a_enc)
         return SplittingInfo("branch", curve.branch_places(i))

@@ -98,10 +98,6 @@ class DimensionMismatch(KummerError):
     """Computed Riemann-Roch basis size disagrees with the expected dimension."""
 
 
-class BezoutFailure(KummerError):
-    """No monomial with the required valuation at infinity exists."""
-
-
 class PoleAtEvaluationPlace(KummerError):
     """A basis function has a pole at an evaluation place."""
 

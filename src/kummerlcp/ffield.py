@@ -28,6 +28,7 @@ from .errors import (
     DegreeZero,
     FieldTooLarge,
     FormulaMismatch,
+    NotAnElement,
     NotPrime,
     ZeroPolynomial,
 )
@@ -150,6 +151,15 @@ class FieldSpec:
         self.generator = gen
         self._exp = np.concatenate([exp, exp, np.zeros(2 * (q - 1) + 1, np.int64)])
         self._log = log
+
+    def _element(self, v, what: str) -> int:
+        """v as the encoding of an element: a Python or numpy integer, not a
+        bool, in [0, q).  Anything else raises NotAnElement, never truncates."""
+        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                or not 0 <= v < self.q):
+            raise NotAnElement(
+                f"{what} = {v!r} encodes no element: not an integer in [0, {self.q})")
+        return int(v)
 
     # -- scalar ops on encodings --
 
@@ -403,7 +413,7 @@ def nth_roots(F: FieldSpec, c: int, n: int) -> list[int]:
     log c, and then has exactly g solutions, one base solution plus the
     multiples of (q - 1)/g.  O(g) work instead of a scan of the field.
     """
-    if c == 0:
+    if F._element(c, "c") == 0:
         return [0]
     order = F.q - 1
     g = math.gcd(n, order)

@@ -5,7 +5,7 @@ fully worked instances with expected values re-derived by the live pipeline.
 from __future__ import annotations
 
 from .codes import lcp_build_regime
-from .curve import KummerCurve, census, completely_split_values, make_curve
+from .curve import KummerCurve, census, make_curve
 from .errors import (
     CongruenceViolated,
     FieldTooLarge,
@@ -22,8 +22,7 @@ from .ffield import (
     poly_analyze,
     prime_factors,
 )
-from .nonspecial import coeffs_lambda_two, criterion_check, enumerate_nonspecial
-from .curve import InvariantTuple
+from .nonspecial import coeffs_lambda_two, enumerate_nonspecial
 
 
 def dickson(d: int, field: FieldSpec) -> Poly:
@@ -156,27 +155,15 @@ def catalog(cid: str) -> dict:
             "expected": {"genus": 9, "count": 24,
                          "tuples": sorted(EX37_TUPLES)},
         }
-    if cid == "f49":
-        # recorded targets that GF(49) does not attain (104 places, 12 split
-        # values, not maximal); kept so that reproduce reports the mismatch
-        # (f169 carries the same numbers)
+    if cid in ("f49", "f169"):
+        # recorded targets; GF(49) does not attain them (104 places, 12 split
+        # values, not maximal), so reproduce("f49") reports the mismatch,
+        # and only its maximal target differs from f169's
         return {
             "id": cid,
-            "curve": f49_curve(),
+            "curve": f49_curve() if cid == "f49" else f169_curve(),
             "expected": {
-                "genus": 13, "census": 232, "maximal": True, "t": 28,
-                "A": {"n0": 0, "ones": [0, 2, 3, 6], "half": 1},
-                "s": 2,
-                "params_G": [224, 160, 52], "params_H": [224, 64, 148],
-                "verified": True,
-            },
-        }
-    if cid == "f169":
-        return {
-            "id": cid,
-            "curve": f169_curve(),
-            "expected": {
-                "genus": 13, "census": 232, "maximal": False, "t": 28,
+                "genus": 13, "census": 232, "maximal": cid == "f49", "t": 28,
                 "A": {"n0": 0, "ones": [0, 2, 3, 6], "half": 1},
                 "s": 2,
                 "params_G": [224, 160, 52], "params_H": [224, 64, 148],

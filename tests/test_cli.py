@@ -164,6 +164,34 @@ def test_domain_error_exit_code(capsys):
         assert "FieldTooLarge" in err and "Traceback" not in err
 
 
+def test_irrational_infinity_exit_code(capsys):
+    # a = 13 is no square in GF(169) and d_inf = 2: no rational Q_infinity
+    # for the delta = 1 space of the lambda_two regime
+    code, _, err = run(capsys, "lcp", "build", "--field", "13,2",
+                       "--alphas", "26,39,130,143,0", "--lambdas", "1,1,1,1,2",
+                       "--m", "8", "--a", "13", "--regime", "lambda_two")
+    assert code == 1
+    assert "RationalityError" in err and "Traceback" not in err
+
+
+def test_spec_encodings_exit_code(tmp_path, capsys):
+    # a float in a spec file once truncated to an element and exited 0
+    curve = {"field": {"p": 7, "k": 2}, "m": 4,
+             "branches": [{"alpha": 0, "lambda": 1}, {"alpha": 3, "lambda": 1}]}
+    for key, bad in (("alpha", 1.5), ("a", 1.5), ("a", True)):
+        spec = json.loads(json.dumps(curve))
+        if key == "a":
+            spec["a"] = bad
+        else:
+            spec["branches"][1]["alpha"] = bad
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        for command in (["curve", "info"], ["census"]):
+            code, _, err = run(capsys, *command, "--spec", str(path))
+            assert code == 1, (key, bad, command)
+            assert "NotAnElement" in err and "Traceback" not in err
+
+
 def test_census_command(capsys):
     code, out, _ = run(capsys, "--json", "census", "--catalog", "f169")
     assert code == 0

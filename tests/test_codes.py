@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
@@ -51,6 +52,7 @@ from kummerlcp.errors import (
     NotWholeFibers,
     PoleAtEvaluationPlace,
     RampPreconditionViolated,
+    RationalityError,
     RegimeViolation,
     SRangeEmpty,
     SupportOverlap,
@@ -190,6 +192,62 @@ def test_infinity_functional_linearity(f169):
     for e in kernel:
         assert infinity_functional(f169, tup.n0, e) == 0
     assert len(kernel) == len(basis) - 1
+
+
+@settings(max_examples=150, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_infinity_functional_closed_form(data):
+    """On a drawn curve with rational Q_infinity, monic (omega = 1) or with a
+    drawn d_inf-th power a: two single terms of valuation -c_inf there take
+    values in the ratio omega^((t2 - t1) / e_inf), omega the first label
+    above infinity; a term above -c_inf adds 0, one below raises."""
+    m = data.draw(st.sampled_from(range(2, 13)), label="m")
+    F = make_field(*data.draw(st.sampled_from(
+        [(p, k) for p, k in DRAWN_FIELDS if (p ** k - 1) % m == 0]), label="field"))
+    r = data.draw(st.sampled_from(range(1, min(5, F.q) + 1)), label="r")
+    alphas = data.draw(st.lists(st.sampled_from(range(F.q)), min_size=r, max_size=r,
+                                unique=True), label="alphas")
+    lambdas = [1] + [data.draw(st.sampled_from(range(1, m)), label="lambda")
+                     for _ in range(r - 1)]
+    a = 1 if data.draw(st.booleans(), label="monic") else F.pow(
+        data.draw(st.integers(1, F.q - 1), label="root"), math.gcd(m, sum(lambdas)))
+    curve = make_curve(F, m, list(zip(alphas, lambdas)), a)
+    ram, q_inf = curve.ram, curve.q_infinity()
+    omega = curve.conjugate_labels("infinity")[0]
+    t1 = data.draw(st.integers(0, m - 1), label="t1")
+    xpow = data.draw(st.integers(-3, 6), label="xpow")
+    factors = tuple((alpha, data.draw(st.integers(1, 2), label="r_alpha"))
+                    for alpha in data.draw(st.sets(st.sampled_from(alphas)),
+                                           label="factors"))
+    first = BasisFunction(t1, xpow, factors)
+    c_inf = -basis_valuation(curve, first, q_inf)
+    # t -> t + e_inf * k, x-degree -> x-degree - (Lambda/d_inf) * k keeps
+    # the valuation
+    k = data.draw(st.integers(-3, 3), label="k")
+    second = BasisFunction(t1 + ram.e_inf * k,
+                           xpow - ram.lam_sum // ram.d_inf * k, factors)
+    assert basis_valuation(curve, second, q_inf) == -c_inf
+    v1, v2 = (infinity_functional(curve, c_inf, SpaceElement.single(bf))
+              for bf in (first, second))
+    assert v1 != 0 and v2 == F.mul(v1, F.pow(omega, k))
+    above = BasisFunction(t1, xpow - 1, factors)   # valuation -c_inf + e_inf
+    below = BasisFunction(t1, xpow + 1, factors)   # valuation -c_inf - e_inf
+    assert infinity_functional(curve, c_inf, SpaceElement.single(above)) == 0
+    assert infinity_functional(curve, c_inf, SpaceElement(((3, above), (1, first)))) == v1
+    with pytest.raises(UnsupportedShape):
+        infinity_functional(curve, c_inf, SpaceElement.single(below))
+
+
+def test_rr_basis_rejects_irrational_infinity():
+    # a = 13 is no square in GF(169) and d_inf = 2: the places above
+    # infinity are not rational, so the delta = 1 functional has no Q_infinity
+    curve = make_curve(make_field(13, 2), 8,
+                       [(26, 1), (39, 1), (130, 1), (143, 1), (0, 2)], a=13)
+    assert curve.ram.d_inf == 2 and curve.conjugate_labels("infinity") == []
+    A = QUARTIC_PAIR[0]
+    assert len(rr_basis(curve, (A, 0))) == ell_invariant(curve, A)
+    with pytest.raises(RationalityError, match="infinity"):
+        rr_basis(curve, (A, 1))
 
 
 def test_basis_valuation_lower_bound(f169):

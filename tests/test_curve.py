@@ -30,7 +30,7 @@ from kummerlcp.curve import (
     x_pole_divisor,
     y_divisor,
 )
-from kummerlcp.codes import BasisFunction, basis_valuation
+from kummerlcp.codes import BasisFunction, basis_valuation, split_place_list
 from kummerlcp.errors import (
     AbstractField,
     CharDividesM,
@@ -488,6 +488,32 @@ def test_f_eval_arr_kernel_calls(dickson103, kernel_calls):
     dickson103.f_eval_arr(np.arange(dickson103.field.q))
     assert kernel_calls == {"sub_arr": 1, "add_arr": 1, "neg_arr": 1,
                             "pow_prod": 1, "mul_arr": 1}
+
+
+#: each entry point that takes a field encoding, called with v in its place
+ENCODING_ENTRY_POINTS = {
+    "nth_roots": lambda c, v: nth_roots(c.field, v, 2),
+    "alpha": lambda c, v: make_curve(c.field, 4, [(v, 1)]),
+    "a": lambda c, v: make_curve(c.field, 4, [(0, 1)], a=v),
+    "splitting_type": lambda c, v: splitting_type(c, v),
+    "split_place_list": lambda c, v: split_place_list(
+        c, [v, completely_split_values(c)[0]]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENCODING_ENTRY_POINTS))
+def test_encodings_are_integers_in_the_field(f49, entry):
+    # a float, bool or string is no encoding: it raises, never truncates to
+    # an element (1.5 once read as 1), and an integer outside [0, 49) raises
+    call = ENCODING_ENTRY_POINTS[entry]
+    for bad in (1.5, 2.0, np.float64(2.0), True, np.bool_(True), "2", None,
+                -1, 49, np.int64(100)):
+        with pytest.raises(NotAnElement):
+            call(f49, bad)
+    # numpy integers are encodings like Python ints
+    good = completely_split_values(f49)[1]
+    call(f49, np.int64(good))
+    assert splitting_type(f49, np.int32(good)) == splitting_type(f49, good)
 
 
 def test_out_of_range_x_values_rejected(f169):

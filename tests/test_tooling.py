@@ -35,6 +35,26 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in the package: {found}"
 
 
+def test_package_imports_are_read():
+    # a name a module imports and never reads is dead code; __init__.py
+    # imports to re-export, so it is exempt
+    unread = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unread += [f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                           for alias in node.names
+                           if (name := alias.asname or alias.name.split(".")[0])
+                           not in read]
+    assert not unread, f"imported names never read: {unread}"
+
+
 def _raises_builtin(node, banned=("ValueError", "AssertionError")):
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
