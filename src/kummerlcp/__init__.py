@@ -30,6 +30,7 @@ from .nonspecial import (
     enumerate_nonspecial,
 )
 from .codes import (
+    Basis,
     BasisFunction,
     LCPPair,
     LinearCode,

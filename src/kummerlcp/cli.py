@@ -51,9 +51,10 @@ def _load_curve(args) -> KummerCurve:
     if args.spec:
         try:
             with open(args.spec, encoding="utf-8") as fh:
-                return KummerCurve.from_json(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+                spec = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise UsageError(f"bad --spec {args.spec}: {exc!r}") from None
+        return KummerCurve.from_json(spec)
     if args.m is None or args.lambdas is None:
         raise UsageError("need --catalog, --spec, or --m with --lambdas")
     lambdas = _int_list(args.lambdas)

@@ -7,7 +7,15 @@ Handles function spaces L(D) for divisors D of the shape
   has an explicit rational-subfield basis.
 * delta = 1: the subspace of functions with one extra forced zero at
   Q_infinity is cut out as the kernel of a single linear functional that
-  evaluates the leading coefficient at Q_infinity in closed form.
+  evaluates the leading coefficient at Q_infinity in closed form, once per
+  summand, at its top term.
+
+A basis is a Basis: in order, the runs x^j / D * y^t, j = 0..d, one per
+summand y^t (D its factor set), and the few rows the delta = 1 kernel joins.
+rr_basis, eval_matrix and x_part_rank read the runs, so a code costs Python
+work per run, not per row; the rows are SpaceElements only when read one by
+one (LinearCode.basis is such a lazily expanded sequence).  A list of
+SpaceElements is read as a Basis by Basis.of.
 
 On top of that sit generator matrices, exact rank computation over GF(q),
 the G/H construction producing complementary pairs of codes from a
@@ -43,6 +51,7 @@ from .curve import (
     InvariantTuple,
     KummerCurve,
     Place,
+    _restricted_summand,
     completely_split_values,
     invariant_divisor,
     principal_divisor,
@@ -104,6 +113,74 @@ class SpaceElement:
     @staticmethod
     def single(bf: BasisFunction) -> "SpaceElement":
         return SpaceElement(((1, bf),))
+
+
+@dataclass(frozen=True)
+class Run:
+    """The rows x^j / D * y^t, j = 0..d, of one factor set D."""
+
+    t: int
+    factors: tuple  # D, as in BasisFunction
+    d: int
+
+    def row(self, j: int) -> SpaceElement:
+        return SpaceElement.single(BasisFunction(self.t, j, self.factors))
+
+
+class Basis:
+    """The rows of a basis as pieces, in order: a Run stands for its d + 1
+    rows, a SpaceElement for one row.
+
+    eval_matrix and x_part_rank read the pieces.  The rows are expanded into
+    SpaceElements only when read as a sequence (len, indexing, iteration);
+    basis + other joins the pieces of basis and of Basis.of(other).
+    """
+
+    def __init__(self, pieces):
+        self.pieces = tuple(pieces)
+        self.starts = [0]  # piece i's first row; the last entry is len
+        for piece in self.pieces:
+            self.starts.append(self.starts[-1]
+                               + (piece.d + 1 if isinstance(piece, Run) else 1))
+
+    @staticmethod
+    def of(rows) -> "Basis":
+        """rows as a Basis: a Basis as it is; in a list, each stretch of rows
+        1 * x^j / D * y^t, j = 0, 1, ..., becomes one Run."""
+        if isinstance(rows, Basis):
+            return rows
+        pieces = []
+        for elem in rows:
+            bf = elem.terms[0][1] if len(elem.terms) == 1 and elem.terms[0][0] == 1 \
+                else None
+            last = pieces[-1] if pieces else None
+            if bf is not None and isinstance(last, Run) and \
+                    (last.t, last.factors, last.d + 1) == (bf.t, bf.factors, bf.xpow):
+                pieces[-1] = Run(bf.t, bf.factors, bf.xpow)
+            elif bf is not None and bf.xpow == 0:
+                pieces.append(Run(bf.t, bf.factors, 0))
+            else:
+                pieces.append(elem)
+        return Basis(pieces)
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i: int) -> SpaceElement:
+        row = range(len(self))[i]  # IndexError past either end
+        k = int(np.searchsorted(self.starts, row, side="right")) - 1
+        piece = self.pieces[k]
+        return piece.row(row - self.starts[k]) if isinstance(piece, Run) else piece
+
+    def __iter__(self):
+        for piece in self.pieces:
+            if isinstance(piece, Run):
+                yield from map(piece.row, range(piece.d + 1))
+            else:
+                yield piece
+
+    def __add__(self, other) -> "Basis":
+        return Basis(self.pieces + Basis.of(other).pieces)
 
 
 def basis_valuation(curve: KummerCurve, bf: BasisFunction, place: Place) -> int:
@@ -172,20 +249,6 @@ def divisor_shape(curve: KummerCurve, D: Divisor):
 # Riemann-Roch bases
 # ---------------------------------------------------------------------------
 
-def _summand_basis(curve: KummerCurve, A: InvariantTuple, t: int):
-    """Rational basis of the weight-t summand of L(invariant A)."""
-    m = curve.m
-    ram = curve.ram
-    r_fin = [(ni * di + t * lam) // m
-             for ni, di, lam in zip(A.n, ram.d, curve.lambdas)]
-    r_inf = (A.n0 * ram.d_inf - t * ram.lam_sum) // m
-    deg = r_inf + sum(r_fin)
-    if deg < 0:
-        return []
-    factors = tuple((curve.alphas[i], r) for i, r in enumerate(r_fin) if r)
-    return [BasisFunction(t, j, factors) for j in range(deg + 1)]
-
-
 def infinity_functional(curve: KummerCurve, c_inf: int,
                         elem: SpaceElement) -> int:
     """Leading coefficient at Q_infinity of an element of L(A), where A has
@@ -219,34 +282,43 @@ def infinity_functional(curve: KummerCurve, c_inf: int,
     return total
 
 
-def rr_basis(curve: KummerCurve, D) -> list[SpaceElement]:
+def rr_basis(curve: KummerCurve, D) -> Basis:
     """Basis of L(D) for D of the shape invariant(A) - delta * Q_infinity.
 
-    Accepts either a Divisor or a pair (InvariantTuple, delta).
+    Accepts either a Divisor or a pair (InvariantTuple, delta).  The weight-t
+    summand of L(A) is one Run x^j / D * y^t, j = 0..d.  For delta = 1 the
+    functional is evaluated once per run, at its top term: the valuation at
+    Q_infinity falls as j grows, so no other term reaches -n_0.  The first
+    run whose top term it does not kill gives up that term, and every later
+    such top term becomes a joined row, itself minus a multiple of it.
     """
     if isinstance(D, Divisor):
         A, delta = divisor_shape(curve, D)
     else:
         A, delta = D
-    funcs = []
+    runs = []
     for t in range(curve.m):
-        funcs.extend(_summand_basis(curve, A, t))
-    vals = [infinity_functional(curve, A.n0, SpaceElement.single(bf))
-            for bf in funcs] if delta else []
+        deg, r = _restricted_summand(curve, A.n0, A.n, t)
+        if deg >= 0:
+            runs.append(Run(t, tuple((curve.alphas[i], ri) for i, ri in enumerate(r)
+                                     if ri), deg))
+    tops = [BasisFunction(run.t, run.d, run.factors) for run in runs] if delta else []
+    vals = [infinity_functional(curve, A.n0, SpaceElement.single(bf)) for bf in tops]
     pivot = next((i for i, v in enumerate(vals) if v), None)
     if pivot is None:  # delta = 0, or the functional vanishes on L(A)
-        return [SpaceElement.single(bf) for bf in funcs]
+        return Basis(runs)
     F = curve.field
-    out = []
-    for i, bf in enumerate(funcs):
-        if i == pivot:
+    pieces = []
+    for i, (run, v) in enumerate(zip(runs, vals)):
+        if v == 0:
+            pieces.append(run)
             continue
-        if vals[i] == 0:
-            out.append(SpaceElement.single(bf))
-        else:
-            ratio = F.mul(vals[i], F.inv(vals[pivot]))
-            out.append(SpaceElement(((1, bf), (F.neg(ratio), funcs[pivot]))))
-    return out
+        if run.d:
+            pieces.append(Run(run.t, run.factors, run.d - 1))
+        if i != pivot:
+            ratio = F.mul(v, F.inv(vals[pivot]))
+            pieces.append(SpaceElement(((1, tops[i]), (F.neg(ratio), tops[pivot]))))
+    return Basis(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +380,40 @@ def _exponents(factors: tuple) -> dict:
     return out
 
 
-def _check_terms(basis: list[SpaceElement], xs: np.ndarray, m: int) -> None:
-    """Raise UnsupportedShape if a term of the basis has a weight outside
-    [0, m), then PoleAtEvaluationPlace if one has a pole at one of the
-    x-values xs: a factor (x - alpha)^(-r) with r > 0 (summed per alpha)
-    and alpha among them, or a negative power of x with 0 among them.
-    Reads only the terms, no field operations."""
-    functions = [bf for elem in basis for _, bf in elem.terms]
-    weights = {bf.t for bf in functions}
-    if not weights <= set(range(m)):
-        raise UnsupportedShape(f"basis weights {sorted(weights)} leave [0, {m})")
+def _checked_terms(basis: Basis, xs: np.ndarray, m: int):
+    """Every term c * x^j / D * y^t of the basis as arrays (row, t, j, c,
+    index of D), with the distinct factor sets D in order of first use: a
+    run's d + 1 terms come from np.arange and np.repeat.
+
+    Raises UnsupportedShape if a term has a weight outside [0, m), then
+    PoleAtEvaluationPlace if one has a pole at one of the x-values xs: a
+    factor (x - alpha)^(-r) with r > 0 (summed per alpha) and alpha among
+    them, or a negative power of x with 0 among them.  The check reads only
+    the terms, no field operations."""
+    sets, spans = {}, []  # (first row, t, first j, number of terms, c, index of D)
+    for start, piece in zip(basis.starts, basis.pieces):
+        if isinstance(piece, Run):
+            spans.append((start, piece.t, 0, piece.d + 1, 1,
+                          sets.setdefault(piece.factors, len(sets))))
+        else:
+            spans += [(start, bf.t, bf.xpow, 1, c, sets.setdefault(bf.factors, len(sets)))
+                      for c, bf in piece.terms]
+    spans = np.array(spans, dtype=np.int64).reshape(-1, 6).T
+    size = spans[3]
+    step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    row, t, j, _, c, den = (np.repeat(column, size) for column in spans)
+    row, j = row + step, j + step
+    if t.size and not 0 <= t.min() <= t.max() < m:
+        raise UnsupportedShape(f"basis weights {np.unique(t).tolist()} leave [0, {m})")
     values = set(xs.tolist())
-    for f in dict.fromkeys(bf.factors for bf in functions):
+    for f in sets:
         for alpha, r in _exponents(f).items():
             if r > 0 and alpha in values:
                 raise PoleAtEvaluationPlace(
                     f"pole at x = {alpha} among evaluation places")
-    if 0 in values and any(bf.xpow < 0 for bf in functions):
+    if 0 in values and (j < 0).any():
         raise PoleAtEvaluationPlace("pole at x = 0 among evaluation places")
+    return row, t, j, c, den, list(sets)
 
 
 def split_place_list(curve: KummerCurve, a_values) -> Fibers:
@@ -344,13 +432,12 @@ def split_place_list(curve: KummerCurve, a_values) -> Fibers:
     return fiber_values(curve, places)
 
 
-def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
-                fibers: Fibers) -> np.ndarray:
-    """The basis at whole fibers, in weight coordinates: with xs the T
-    sorted x-values, entry [i, t * T + j] is the sum of c * b(xs[j]) over
-    the terms c * b(x) * y^t of basis[i].  At the place (xs[j], y) the
-    element takes the value sum_t [i, t * T + j] * y^t, so this k x mT
-    matrix has the generator matrix's shape and rank.
+def eval_matrix(curve: KummerCurve, basis, fibers: Fibers) -> np.ndarray:
+    """The basis (a Basis or a list of SpaceElements) at whole fibers, in
+    weight coordinates: with xs the T sorted x-values, entry [i, t * T + j]
+    is the sum of c * b(xs[j]) over the terms c * b(x) * y^t of row i.  At
+    the place (xs[j], y) the row takes the value sum_t [i, t * T + j] * y^t,
+    so this k x mT matrix has the generator matrix's shape and rank.
 
     All terms are evaluated together.  The D distinct factor sets become
     one exponent matrix over the A distinct alpha's (-r, summed when a set
@@ -364,31 +451,28 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     """
     F = curve.field
     xs = _require_fibers(curve, fibers).xs
+    basis = Basis.of(basis)
     T, m = len(xs), curve.m
     out = np.zeros((len(basis), m * T), dtype=np.int64)
-    _check_terms(basis, xs, m)
-    terms = [(i, bf.t, bf.xpow, coeff, bf.factors)
-             for i, elem in enumerate(basis) for coeff, bf in elem.terms]
-    if not terms:
+    row, t, xpow, coeff, den, sets = _checked_terms(basis, xs, m)
+    if not row.size:
         return out
-    row, t, xpow, coeff, factors = zip(*terms)
-    den_index = {f: k for k, f in enumerate(dict.fromkeys(factors))}
     col = {alpha: j for j, alpha in
-           enumerate(dict.fromkeys(alpha for f in den_index for alpha, _ in f))}
-    exps = np.zeros((len(den_index), len(col)), dtype=np.int64)
-    for f, k in den_index.items():  # prod (x - alpha)^(-r) at xs
+           enumerate(dict.fromkeys(alpha for f in sets for alpha, _ in f))}
+    exps = np.zeros((len(sets), len(col)), dtype=np.int64)
+    for k, f in enumerate(sets):  # prod (x - alpha)^(-r) at xs
         for alpha, r in f:
             exps[k, col[alpha]] -= r
     diffs = F.sub_arr(xs[None, :], np.array(list(col), dtype=np.int64)[:, None])
     dens = F.pow_prod(diffs, exps)
-    vals = F.pow_arr(xs[None, :], np.array(xpow)[:, None])
-    vals = F.mul_arr(vals, dens[[den_index[f] for f in factors]])
-    vals = F.mul_arr(vals, np.array(coeff)[:, None])
+    vals = F.pow_arr(xs[None, :], xpow[:, None])
+    vals = F.mul_arr(vals, dens[den])
+    vals = F.mul_arr(vals, coeff[:, None])
     # a (row, weight) cell may hold several terms: fancy assignment keeps
     # one write per repeated index and np.add.at adds integers, not field
     # elements, so pass r adds the r-th term of every cell by add_arr
     cells = out.reshape(len(basis) * m, T)  # cells[i * m + t]: weight t of row i
-    cell = np.array(row) * m + np.array(t)
+    cell = row * m + t
     order = np.argsort(cell, kind="stable")
     cell, vals = cell[order], vals[order]
     rank = np.arange(len(cell)) - np.searchsorted(cell, cell)
@@ -399,7 +483,7 @@ def eval_matrix(curve: KummerCurve, basis: list[SpaceElement],
     return out
 
 
-def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -> int:
+def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     """Rank of eval_matrix(curve, basis, fibers), in one pass over the
     weights of the basis.
 
@@ -409,21 +493,22 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
     factor set that names an alpha twice counts the sum of its powers.  The
     matrix is [R_0 | ... | R_(m-1)], one block of T columns per weight,
     and its rank is unchanged when one block R_w is replaced by its image
-    under a linear map that is injective on the span of R_w's rows.  Scaling the columns by L, reading off the coefficients
-    of polynomials of degree < T, and the identity (the evaluated values)
-    are such maps.  Eliminating by a row whose only part is at w touches
-    only block w.  So each weight is handled on its own, adds a count, and
-    puts either nothing or one column block into a single matrix, whose
-    gf_rank completes the rank.
+    under a linear map that is injective on the span of R_w's rows.
+    Scaling the columns by L, reading off the coefficients of polynomials
+    of degree < T, and the identity (the evaluated values) are such maps.
+    Eliminating by a row whose only part is at w touches only block w.  So
+    each weight is handled on its own, adds a count, and puts either
+    nothing or one column block into a single matrix, whose gf_rank
+    completes the rank.
 
     At weight w, L is the lcm of the denominators D of the terms there
     (the highest power of each factor), and a term c x^j / D becomes the
-    polynomial c x^j (L / D).  Side 1 is a group of single-term rows
-    x^j / D_1, j = 0..d, of the highest degree d + deg c_1, where
-    c_1 = L / D_1 (if there is none, d = -1 and c_1 = 1).  Its rows span
-    the multiples of c_1 of degree <= d + deg c_1, and the residue of any
-    polynomial P modulo that span is (P mod c_1, the coefficients of
-    P div c_1 in degrees > d).  While every polynomial at w has degree < T,
+    polynomial c x^j (L / D).  Side 1 is the runs of one factor set D_1,
+    rows x^j / D_1 with j = 0..d for the longest of them, of the highest
+    degree d + deg c_1, where c_1 = L / D_1 (if there is no run, d = -1 and
+    c_1 = 1).  Its rows span the multiples of c_1 of degree <= d + deg c_1,
+    and the residue of any polynomial P modulo that span is (P mod c_1, the
+    coefficients of P div c_1 in degrees > d).  While every polynomial at w has degree < T,
     the weight adds d + 1 and the residues of the other parts there.
 
     A weight is saturated when its single-weight rows reach rank T: side 1
@@ -440,42 +525,48 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
     call on the weight-w parts alone) as its column block, and the weight
     adds no count.
 
-    No code's rr_basis evaluates a weight.  Its factors have r > 0 and its
-    powers of x are j >= 0.  Each weight has one factor set D, and the
-    delta = 1 functional joins only each weight's top term x^(d+1) / D: the
-    valuation at Q_infinity falls as j grows, so only the top term can
-    reach -n_0.  The single rows there are x^j / D, j = 0..d.  So L = D and
-    c_1 = 1, and either d + 1 >= T saturates the weight, or every
+    No code's rr_basis evaluates a weight.  It is one run x^j / D, j = 0..d,
+    per weight, with factors r > 0 and powers j >= 0, and for delta = 1 at
+    most one joined row per weight: the functional takes only a summand's
+    top term x^(d+1) / D off its run (the valuation at Q_infinity falls as
+    j grows, so only the top term can reach -n_0).  So at each weight
+    L = D and c_1 = 1, and either d + 1 >= T saturates the weight, or every
     polynomial at it has degree <= d + 1 < T.  No bound on deg G is needed.
     Stacks of two codes' bases, and other hand-built rows, may still
-    evaluate a weight.
+    evaluate a weight.  A list of rows is read as Basis.of reads it: runs
+    where rows x^0 / D, x^1 / D, ... follow one another, single rows
+    elsewhere.
     """
     field = curve.field
     xs = _require_fibers(curve, fibers).xs
-    _check_terms(basis, xs, curve.m)
+    basis = Basis.of(basis)
+    _checked_terms(basis, xs, curve.m)
     T = len(xs)
-    at, joined = {}, set()  # weight -> {row: its terms there}; rows of several weights
-    for k, elem in enumerate(basis):
-        if len(elem.terms) == 1:  # nearly every row of a code's basis
-            at.setdefault(elem.terms[0][1].t, {})[k] = elem.terms
+    # weight -> [(first row, its Run or its terms there)]; rows of several weights
+    at, joined = {}, set()
+    for k, piece in zip(basis.starts, basis.pieces):
+        if isinstance(piece, Run):  # nearly every row of a code's basis
+            at.setdefault(piece.t, []).append((k, piece))
             continue
         parts = {}
-        for c, bf in elem.terms:
+        for c, bf in piece.terms:
             parts.setdefault(bf.t, []).append((c, bf))
         for w, terms in parts.items():
-            at.setdefault(w, {})[k] = terms
+            at.setdefault(w, []).append((k, terms))
         if len(parts) > 1:
             joined.add(k)
     rank, width, pieces = 0, 0, {}  # pieces: row -> [(column, block), ...]
     for w in sorted(at):
         part = at[w]
-        groups, rest = {}, {}  # D -> {row: j} of the single-term rows x^j / D; the rest
-        for k, terms in part.items():
-            if len(terms) == 1 and terms[0][0] and k not in joined:
-                groups.setdefault(terms[0][1].factors, {})[k] = terms[0][1].xpow
+        # D -> [(first row, d)] of the runs x^j / D, j = 0..d; row -> its terms
+        # (c, j, D) for the other rows
+        groups, rest = {}, {}
+        for k, p in part:
+            if isinstance(p, Run):
+                groups.setdefault(p.factors, []).append((k, p.d))
             else:
-                rest[k] = terms
-        factor_sets = set(groups).union(*({bf.factors for _, bf in terms}
+                rest[k] = [(c, bf.xpow, bf.factors) for c, bf in p]
+        factor_sets = set(groups).union(*({f for _, _, f in terms}
                                           for terms in rest.values()))
         powers = {f: _exponents(f) for f in factor_sets}
         top = {}  # L = prod (x - alpha)^top[alpha]
@@ -483,15 +574,15 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
             for alpha, r in exps.items():
                 top[alpha] = max(top.get(alpha, 0), r)
         side, d1, n1 = None, -1, -1  # n1 = d1 + deg c_1
-        for f, js in groups.items():
-            exps = set(js.values())
-            d = len(exps) - 1
+        for f, runs in groups.items():
+            d = max(d for _, d in runs)
             n = d + sum(top.values()) - sum(r for _, r in f)
-            if min(exps) == 0 and max(exps) == d and n > n1:
+            if n > n1:
                 side, d1, n1 = f, d, n
-        rest.update((k, part[k]) for f, js in groups.items() if f != side for k in js)
+        rest.update((k + j, [(1, j, f)]) for f, runs in groups.items() if f != side
+                    for k, d in runs for j in range(d + 1))
         evaluate = any(r < 0 for exps in powers.values() for r in exps.values()) or \
-            any(bf.xpow < 0 for terms in rest.values() for _, bf in terms)
+            any(j < 0 for terms in rest.values() for _, j, _ in terms)
         if not evaluate:
             if d1 + 1 >= T:
                 rank += T
@@ -511,9 +602,9 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
                 return cofactors[f]
 
             def poly(terms):
-                out = [0] * max(bf.xpow + len(cofactor(bf.factors)) for _, bf in terms)
-                for c, bf in terms:
-                    for i, a in enumerate(cofactor(bf.factors), bf.xpow):
+                out = [0] * max(j + len(cofactor(f)) for _, j, f in terms)
+                for c, j, f in terms:
+                    for i, a in enumerate(cofactor(f), j):
                         out[i] = field.add(out[i], field.mul(c, a))
                 return Poly(field, out)
 
@@ -534,9 +625,12 @@ def x_part_rank(curve: KummerCurve, basis: list[SpaceElement], fibers: Fibers) -
             else:
                 evaluate = True
         if evaluate:
-            values = eval_matrix(curve, [SpaceElement(tuple(terms))
-                                         for terms in part.values()], fibers)
-            blocks, cols = dict(zip(part, values[:, w * T:(w + 1) * T])), T
+            rows = Basis(p if isinstance(p, Run) else SpaceElement(tuple(p))
+                         for _, p in part)
+            values = eval_matrix(curve, rows, fibers)[:, w * T:(w + 1) * T]
+            ids = [k + j for k, p in part
+                   for j in range(p.d + 1 if isinstance(p, Run) else 1)]
+            blocks, cols = dict(zip(ids, values)), T
         for k, block in blocks.items():
             pieces.setdefault(k, []).append((width, block))
         width += cols
@@ -601,7 +695,7 @@ class LinearCode:
     k: int
     divisor_G: Divisor
     designed_distance: int
-    basis: list
+    basis: Basis
     fibers: Fibers                  # the n evaluation places, and the curve
 
     def gen(self) -> np.ndarray:

@@ -40,8 +40,9 @@ from .errors import (
     NotAnElement,
     RationalityError,
     UnsupportedRoot,
+    UsageError,
 )
-from .ffield import FieldSpec, Poly, make_field, nth_roots
+from .ffield import FieldSpec, Poly, _integer, make_field, nth_roots
 
 
 class Place(NamedTuple):
@@ -66,7 +67,14 @@ class Place(NamedTuple):
 
     @staticmethod
     def from_json(obj) -> "Place":
-        return Place(**obj)
+        """The place of a to_json() object: its kind and the integer fields
+        that kind uses, no others.  Anything else raises UsageError."""
+        uses = {"branch": ("i", "j"), "infinity": ("j",), "split": ("a", "y")}
+        kind = obj.get("kind") if isinstance(obj, dict) else None
+        if not (isinstance(kind, str) and kind in uses
+                and set(obj) == {"kind", *uses[kind]}):
+            raise UsageError(f"not a place: {obj!r}")
+        return Place(kind, **{f: _integer(obj[f], f) for f in uses[kind]})
 
 
 @dataclass(frozen=True)
@@ -83,12 +91,12 @@ class KummerCurve:
     """Immutable model of y^m = a * prod (x - alpha_i)^lambda_i."""
 
     def __init__(self, field, m, branches, a=1):
-        self.m = int(m)
+        self.m = _integer(m, "m")
         if self.m < 2:
             raise GcdViolation(f"extension degree m must be >= 2, got {m}")
         if field is None:
             self.field = None
-            lambdas = [int(l) for l in branches]
+            lambdas = [_integer(l, "lambda") for l in branches]
             alphas = None
             a_enc = 1
         else:
@@ -99,7 +107,7 @@ class KummerCurve:
             lambdas = []
             for alpha, lam in branches:
                 alphas.append(field._element(alpha, "alpha"))
-                lambdas.append(int(lam))
+                lambdas.append(_integer(lam, "lambda"))
             if len(set(alphas)) != len(alphas):
                 raise DuplicateBranch(f"branch points not distinct: {alphas}")
             if field.p != 0 and self.m % field.p == 0:
@@ -249,15 +257,36 @@ class KummerCurve:
 
     @staticmethod
     def from_json(obj) -> "KummerCurve":
-        if obj.get("abstract"):
-            return KummerCurve(None, obj["m"], obj["lambdas"])
-        F = make_field(obj["field"]["p"], obj["field"]["k"])
-        branches = [(b["alpha"], b["lambda"]) for b in obj["branches"]]
-        return KummerCurve(F, obj["m"], branches, obj.get("a", 1))
+        """The curve of a to_json() object.  A missing key, or a field or a
+        branch list of the wrong kind, raises UsageError; the constructors
+        check the values."""
+        if isinstance(obj, dict) and obj.get("abstract"):
+            m, lambdas = _keys(obj, ("m", "lambdas"), "an abstract curve")
+            return KummerCurve(None, m, _items(lambdas, "lambdas"))
+        field, m, branches = _keys(obj, ("field", "m", "branches"), "a curve")
+        branches = [_keys(b, ("alpha", "lambda"), "a branch")
+                    for b in _items(branches, "branches")]
+        return KummerCurve(make_field(*_keys(field, ("p", "k"), "a field")), m,
+                           branches, obj.get("a", 1))
 
     def __repr__(self):
         base = "abstract" if self.is_abstract else repr(self.field)
         return f"KummerCurve({base}, m={self.m}, lambdas={self.lambdas})"
+
+
+def _keys(obj, keys, what: str) -> list:
+    """The values of obj at keys, if obj is a dict holding them all."""
+    if not isinstance(obj, dict) or not set(keys) <= set(obj):
+        raise UsageError(f"{what} should be an object with keys {list(keys)}, "
+                         f"got {obj!r}")
+    return [obj[k] for k in keys]
+
+
+def _items(obj, what: str) -> list:
+    """obj, if it is a list."""
+    if not isinstance(obj, list):
+        raise UsageError(f"{what} should be a list, got {obj!r}")
+    return obj
 
 
 def make_curve(field, m, branches, a=1) -> KummerCurve:
@@ -330,7 +359,11 @@ class Divisor:
 
     @staticmethod
     def from_json(obj) -> "Divisor":
-        return Divisor({Place.from_json(e["place"]): e["coeff"] for e in obj})
+        """The divisor of a to_json() list of {"place", "coeff"} objects with
+        integer coefficients; anything else raises a KummerError."""
+        entries = [_keys(e, ("place", "coeff"), "a divisor entry")
+                   for e in _items(obj, "a divisor")]
+        return Divisor({Place.from_json(p): _integer(c, "coeff") for p, c in entries})
 
     def __repr__(self):
         return f"Divisor({self.items()})"
@@ -468,14 +501,16 @@ def rational_ell(rdiv: dict) -> int:
     return deg + 1 if deg >= 0 else 0
 
 
-def _restricted_summand_degree(curve: KummerCurve, n0: int, n, t: int) -> int:
-    """deg R(A + div(y^t)) for the invariant tuple (n0; n), in closed form."""
+def _restricted_summand(curve: KummerCurve, n0: int, n, t: int):
+    """(deg, r): deg R(A + div(y^t)) for the invariant tuple (n0; n), in
+    closed form, and the floors r_i = (n_i d_i + t lambda_i) // m at the
+    branch points.  deg is (n0 d_inf - t Lambda) // m + sum r_i, and the
+    weight-t summand of L(A) has the basis x^j / prod (x - alpha_i)^r_i *
+    y^t, j = 0..deg."""
     ram = curve.ram
-    m = curve.m
-    deg = (n0 * ram.d_inf - t * ram.lam_sum) // m
-    for ni, di, lam in zip(n, ram.d, curve.lambdas):
-        deg += (ni * di + t * lam) // m
-    return deg
+    r = [(ni * di + t * lam) // curve.m
+         for ni, di, lam in zip(n, ram.d, curve.lambdas)]
+    return (n0 * ram.d_inf - t * ram.lam_sum) // curve.m + sum(r), r
 
 
 def ell_invariant(curve: KummerCurve, A: InvariantTuple,
@@ -487,7 +522,7 @@ def ell_invariant(curve: KummerCurve, A: InvariantTuple,
         raise NegativeCoefficient(f"tuple {A} is not effective")
     total = 0
     for t in range(curve.m):
-        deg = _restricted_summand_degree(curve, A.n0, A.n, t)
+        deg, _ = _restricted_summand(curve, A.n0, A.n, t)
         if deg >= 0:
             total += deg + 1
     return total

@@ -46,6 +46,11 @@ class NotAnElement(KummerError):
     """An integer encoding lies outside [0, q) of the curve's field."""
 
 
+class NotAnInteger(KummerError):
+    """An integer parameter (p, k, m, a lambda_i, a divisor coefficient) is
+    not a Python or numpy integer."""
+
+
 class InvalidPlace(KummerError):
     """Place does not belong to this curve."""
 
@@ -151,4 +156,5 @@ class UnknownId(KummerError):
 
 
 class UsageError(KummerError):
-    """Invalid combination of command-line arguments."""
+    """Invalid combination of command-line arguments, or a malformed JSON
+    object (a missing key, or a value of the wrong kind)."""

@@ -29,6 +29,7 @@ from .errors import (
     FieldTooLarge,
     FormulaMismatch,
     NotAnElement,
+    NotAnInteger,
     NotPrime,
     ZeroPolynomial,
 )
@@ -52,6 +53,14 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _integer(v, what: str) -> int:
+    """v as an int, if it is a Python or numpy integer and not a bool;
+    anything else raises NotAnInteger, never truncates (4.5 is not 4)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise NotAnInteger(f"{what} = {v!r} is not an integer")
+    return int(v)
 
 
 def _canonical_modulus(p, k):
@@ -96,6 +105,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int):
+        p, k = _integer(p, "p"), _integer(k, "k")
         if k < 1:
             raise DegreeZero(f"extension degree must be >= 1, got {k}")
         # the cap first: it bounds p ** k and the trial division of p
@@ -256,7 +266,7 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 7.0 and True miss 7 and 1
 def make_field(p: int, k: int) -> FieldSpec:
     """Construct (and cache) GF(p^k) with the canonical modulus."""
     return FieldSpec(p, k)

@@ -104,16 +104,24 @@ def test_check_tuple_length_usage_error(capsys):
 
 
 def test_missing_curve_usage_error(capsys, tmp_path, monkeypatch):
-    partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps({"m": 4}))
     bad_argvs = [
         ["nonspecial", "enumerate"],
         ["curve", "info", "--m", "6", "--lambdas", "1,x"],
         ["curve", "info", "--m", "2", "--lambdas", "1,1", "--field", "7",
          "--alphas", "0,1"],
         ["curve", "info", "--spec", str(tmp_path / "missing.json")],
-        ["curve", "info", "--spec", str(partial)],
     ]
+    # spec objects with a key missing or a value of the wrong kind: each
+    # from_json checks its keys, with no catch-all around it in the CLI
+    for i, partial in enumerate([
+            {"m": 4}, [4], {"abstract": True, "m": 6},
+            {"abstract": True, "m": 6, "lambdas": 5},
+            {"field": {"p": 7}, "m": 4, "branches": []},
+            {"field": {"p": 7, "k": 2}, "m": 4, "branches": [{"alpha": 0}]},
+            {"field": {"p": 7, "k": 2}, "m": 4, "branches": [[0, 1]]}]):
+        path = tmp_path / f"partial{i}.json"
+        path.write_text(json.dumps(partial))
+        bad_argvs.append(["curve", "info", "--spec", str(path)])
     for argv in bad_argvs:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -175,21 +183,28 @@ def test_irrational_infinity_exit_code(capsys):
 
 
 def test_spec_encodings_exit_code(tmp_path, capsys):
-    # a float in a spec file once truncated to an element and exited 0
+    # a float in a spec file once truncated to an element, or m and lambda
+    # to integers (y^4 = x (x - 3) for m = 4.5, lambda = 1.5), and exited 0
     curve = {"field": {"p": 7, "k": 2}, "m": 4,
              "branches": [{"alpha": 0, "lambda": 1}, {"alpha": 3, "lambda": 1}]}
-    for key, bad in (("alpha", 1.5), ("a", 1.5), ("a", True)):
+    cases = [(("branches", 1, "alpha"), 1.5, "NotAnElement"),
+             (("a",), 1.5, "NotAnElement"), (("a",), True, "NotAnElement"),
+             (("m",), 4.5, "NotAnInteger"), (("m",), None, "NotAnInteger"),
+             (("branches", 1, "lambda"), 1.5, "NotAnInteger"),
+             (("branches", 1, "lambda"), "1", "NotAnInteger"),
+             (("field", "p"), 7.0, "NotAnInteger")]
+    for keys, bad, error in cases:
         spec = json.loads(json.dumps(curve))
-        if key == "a":
-            spec["a"] = bad
-        else:
-            spec["branches"][1]["alpha"] = bad
+        obj = spec
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = bad
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         for command in (["curve", "info"], ["census"]):
             code, _, err = run(capsys, *command, "--spec", str(path))
-            assert code == 1, (key, bad, command)
-            assert "NotAnElement" in err and "Traceback" not in err
+            assert code == 1, (keys, bad, command)
+            assert error in err and "Traceback" not in err
 
 
 def test_census_command(capsys):

@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import reduce
 
@@ -32,6 +34,7 @@ from kummerlcp import (
 )
 from kummerlcp import codes
 from kummerlcp.codes import (
+    Basis,
     BasisFunction,
     Fibers,
     SpaceElement,
@@ -794,19 +797,13 @@ DRAWN_FIELDS = [pk for q in range(3, 126) if len(f := factorint(q)) == 1
 DISTANCE_CAP = 1 << 14
 
 
-@settings(max_examples=400, **PROPERTY_SETTINGS)
-@given(data=st.data())
-def test_drawn_curve_pairs_end_to_end(data):
-    """A pair on y^m = prod (x - alpha_i)^lambda_i over a drawn field: m | q - 1
+def draw_pair_inputs(data):
+    """A curve y^m = prod (x - alpha_i)^lambda_i over a drawn field: m | q - 1
     up to 12, r = 2..5 branch points, lambda_1 = 1 and the other lambda_i
-    any (so some branches have d_i > 1), A a non-special tuple with n_0 = 0,
-    Phi totally ramified branches and a drawn split-value subset and s.
-    Each code has dense rank k and a basis in L(G), the stack has dense rank
-    n exactly when the pair is verified, l(A) = 1, both divisor identities
-    hold, the minimum distance reaches the designed one (n + 1 for a code
-    with k = 0), and the build evaluates each code's basis once: no rank
-    pass evaluates a weight.  Draws with no split value, no tuple or no
-    admissible s end."""
+    any (so some branches have d_i > 1), and the inputs of a pair on it: A
+    a non-special tuple with n_0 = 0, Phi totally ramified branches and a
+    drawn split-value subset and s.  None for a draw with no split value,
+    no tuple or no admissible s."""
     m = data.draw(st.sampled_from(range(2, 13)), label="m")
     F = make_field(*data.draw(st.sampled_from(
         [(p, k) for p, k in DRAWN_FIELDS if (p ** k - 1) % m == 0]), label="field"))
@@ -819,7 +816,7 @@ def test_drawn_curve_pairs_end_to_end(data):
     split = completely_split_values(curve)
     tuples = [A for A in enumerate_nonspecial(curve) if A.n0 == 0]
     if not split or not tuples:
-        return
+        return None
     A = data.draw(st.sampled_from(tuples), label="A")
     phi = data.draw(st.sets(st.sampled_from(
         [i for i, d in enumerate(curve.ram.d) if d == 1]), min_size=1), label="phi")
@@ -829,8 +826,24 @@ def test_drawn_curve_pairs_end_to_end(data):
     try:
         first, last = s_interval(curve, m * T, len(phi))
     except SRangeEmpty:
+        return None
+    return curve, A, phi, values, data.draw(st.integers(first, last), label="s")
+
+
+@settings(max_examples=400, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_drawn_curve_pairs_end_to_end(data):
+    """A pair on a curve of draw_pair_inputs.  Each code has dense rank k
+    and a basis in L(G), the stack has dense rank n exactly when the pair
+    is verified, l(A) = 1, both divisor identities hold, the minimum
+    distance reaches the designed one (n + 1 for a code with k = 0), and
+    the build evaluates each code's basis once: no rank pass evaluates a
+    weight.  Draws with no split value, no tuple or no admissible s end."""
+    drawn = draw_pair_inputs(data)
+    if drawn is None:
         return
-    s = data.draw(st.integers(first, last), label="s")
+    curve, A, phi, values, s = drawn
+    F = curve.field
     evaluated = []
 
     def spy(on, basis, fibers):
@@ -850,6 +863,89 @@ def test_drawn_curve_pairs_end_to_end(data):
     assert (gf_rank(F, np.vstack(gens)) == pair.C.n) == pair.verified
     assert ell_invariant(curve, A) == 1
     assert pair.gcd_identity and pair.lmd_identity
+
+
+def with_zero_terms(rows):
+    """The rows, each with a zero term added: Basis.of reads no run from them."""
+    return [SpaceElement(elem.terms + ((0, elem.terms[0][1]),)) for elem in rows]
+
+
+@settings(max_examples=80, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_runs_read_as_their_expanded_rows(data):
+    """The bases of a pair on a curve of draw_pair_inputs as runs (a Basis),
+    as the list of their rows, and as those rows with a zero term added
+    (single rows, no runs): the same len, eval_matrix, x_part_rank (dense
+    rank of the x-part matrix) and gen(), for each code, for the stack with
+    a plain list, and for drawn rows of the stack by index (repeats
+    allowed)."""
+    drawn = draw_pair_inputs(data)
+    if drawn is None:
+        return
+    curve, F = drawn[0], drawn[0].field
+    pair = lcp_build_general(*drawn)
+    C, E, fibers = pair.C, pair.E, pair.C.fibers
+    stack = C.basis + E.basis
+    rows = list(stack)
+    assert rows == list(C.basis) + list(E.basis) == [stack[i] for i in range(len(rows))]
+    assert Basis.of(rows).pieces == stack.pieces  # the grouping finds rr_basis's runs
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=len(rows)),
+                      label="picks")
+    cases = [(C.basis, list(C.basis)), (E.basis, list(E.basis)), (stack, rows),
+             (C.basis + list(E.basis), rows), (Basis.of(list(C.basis)) + E.basis, rows),
+             (Basis.of([stack[i] for i in picks]), [rows[i] for i in picks])]
+    for runs, listed in cases:
+        assert len(runs) == len(listed) == len(with_zero_terms(listed))
+        X = eval_matrix(curve, listed, fibers)
+        rank = x_part_rank(curve, listed, fibers)
+        assert rank == gf_rank(F, X)
+        for other in (runs, with_zero_terms(listed)):
+            assert np.array_equal(eval_matrix(curve, other, fibers), X)
+            assert x_part_rank(curve, other, fibers) == rank
+    gens = [C.gen(), E.gen()]
+    for code, gen in zip((C, E), gens):
+        assert np.array_equal(replace(code, basis=list(code.basis)).gen(), gen)
+    both = replace(C, k=C.n, basis=C.basis + list(E.basis))
+    assert np.array_equal(both.gen(), np.vstack(gens))
+
+
+def test_dickson103_n400_works_per_run(dickson103, monkeypatch):
+    # the seed-1 pair of the n = 400 benchmark: G has delta = 0 (d_inf = 1),
+    # and H = A - Q_inf + s div_0(phi) has delta = 1; rr_basis evaluates the
+    # functional once per run of H, 8 = m calls where once per row made 25,
+    # and the build and lcp_verify expand no row of the bases: they make one
+    # BasisFunction and one SpaceElement per functional call, where a
+    # BasisFunction and a SpaceElement per row made over 400 of each
+    values = sorted(random.Random(1).sample(completely_split_values(dickson103), 50))
+    functional, per_divisor, made = [], [], Counter()
+    original_rr, original_functional = codes.rr_basis, codes.infinity_functional
+
+    def rr_spy(curve, D):
+        before = len(functional)
+        basis = original_rr(curve, D)
+        per_divisor.append((len(basis), len(functional) - before))
+        return basis
+
+    def functional_spy(*args):
+        functional.append(args)
+        return original_functional(*args)
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    monkeypatch.setattr(codes, "rr_basis", rr_spy)
+    monkeypatch.setattr(codes, "infinity_functional", functional_spy)
+    counting(BasisFunction)
+    counting(SpaceElement)
+    pair = lcp_build_regime(dickson103, "half_single", split_values=values)
+    assert (pair.C.n, pair.C.k, pair.E.k) == (400, 376, 24) and pair.verified
+    assert per_divisor == [(376, 0), (24, dickson103.m)]
+    assert made == {"BasisFunction": dickson103.m, "SpaceElement": dickson103.m}
 
 
 # ---------------------------------------------------------------------------

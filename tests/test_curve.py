@@ -40,8 +40,10 @@ from kummerlcp.errors import (
     LengthMismatch,
     NegativeCoefficient,
     NotAnElement,
+    NotAnInteger,
     RationalityError,
     UnsupportedRoot,
+    UsageError,
 )
 from kummerlcp.ffield import Poly, poly_analyze
 from kummerlcp.instances import dickson_curve_single
@@ -514,6 +516,61 @@ def test_encodings_are_integers_in_the_field(f49, entry):
     good = completely_split_values(f49)[1]
     call(f49, np.int64(good))
     assert splitting_type(f49, np.int32(good)) == splitting_type(f49, good)
+
+
+#: each entry point that takes an integer parameter, called with v in its
+#: place, and a value it accepts there
+INTEGER_ENTRY_POINTS = {
+    "m": (lambda F, v: make_curve(F, v, [(0, 1), (3, 1)]).to_json(), 4),
+    "lambda": (lambda F, v: make_curve(F, 4, [(0, 1), (3, v)]).to_json(), 1),
+    "abstract m": (lambda F, v: make_curve(None, v, [1, 1]).to_json(), 4),
+    "abstract lambda": (lambda F, v: make_curve(None, 4, [1, v]).to_json(), 1),
+    "p": (lambda F, v: make_field(v, 2), 7),
+    "k": (lambda F, v: make_field(7, v), 2),
+    "coeff": (lambda F, v: Divisor.from_json(
+        [{"place": {"kind": "infinity", "j": 0}, "coeff": v}]), 3),
+    "place": (lambda F, v: Place.from_json({"kind": "split", "a": v, "y": 1}), 5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_parameters_are_integers(f49, entry):
+    # make_curve(F, 4.5, [(0, 1), (3, 1.5)]) once built y^4 = x (x - 3)
+    # with lambda = (1, 1); a float equal to an integer, a bool, a string
+    # or None is no integer either (make_field(7.0, 2) once hit the cache
+    # entry of GF(49))
+    call, good = INTEGER_ENTRY_POINTS[entry]
+    for bad in (4.5, float(good), np.float64(good), True, np.bool_(True), str(good),
+                None):
+        with pytest.raises(NotAnInteger):
+            call(f49.field, bad)
+    # numpy integers are integers like Python ints
+    assert call(f49.field, np.int64(good)) == call(f49.field, good)
+
+
+@pytest.mark.parametrize("build, obj", [
+    (Place.from_json, {"kind": "split"}),  # once a = y = -1
+    (Place.from_json, {"kind": "branch", "i": 0}),
+    (Place.from_json, {"kind": "split", "a": 1, "y": 2, "i": 0}),
+    (Place.from_json, {"kind": "bogus", "j": 0}),
+    (Place.from_json, {"kind": ["split"], "a": 1, "y": 2}),
+    (Place.from_json, [["kind", "infinity"], ["j", 0]]),
+    (KummerCurve.from_json, {"m": 4}),  # once KeyError: 'field'
+    (KummerCurve.from_json, [4]),
+    (KummerCurve.from_json, {"abstract": True, "m": 4}),
+    (KummerCurve.from_json, {"abstract": True, "m": 4, "lambdas": 1}),
+    (KummerCurve.from_json, {"field": [7, 2], "m": 4, "branches": []}),
+    (KummerCurve.from_json, {"field": {"p": 7}, "m": 4, "branches": []}),
+    (KummerCurve.from_json, {"field": {"p": 7, "k": 2}, "m": 4,
+                             "branches": {"alpha": 0, "lambda": 1}}),
+    (KummerCurve.from_json, {"field": {"p": 7, "k": 2}, "m": 4, "branches": [[0, 1]]}),
+    (Divisor.from_json, [{"x": 1}]),  # once KeyError: 'place'
+    (Divisor.from_json, {"place": {"kind": "infinity", "j": 0}, "coeff": 1}),
+    (Divisor.from_json, [{"place": {"kind": "split"}, "coeff": 1}]),
+])
+def test_from_json_rejects_malformed_objects(build, obj):
+    with pytest.raises(UsageError):
+        build(obj)
 
 
 def test_out_of_range_x_values_rejected(f169):

@@ -430,12 +430,12 @@ def test_lambda_two_with_positive_n0():
 def test_nonspecial_tuples_have_trivial_space(monkeypatch):
     # a passing tuple supports only constants: every shifted summand with
     # t > 0 has negative degree and the t = 0 summand has degree exactly 0
-    from kummerlcp.curve import _restricted_summand_degree
+    from kummerlcp.curve import _restricted_summand
 
     monkeypatch.setenv("KDL_MAX_SEARCH", str(10**6))
     for c in random_curves(77, 25):
         tuples = enumerate_nonspecial(c)
         for tup in tuples[:5]:
-            assert _restricted_summand_degree(c, tup.n0, tup.n, 0) == 0
+            assert _restricted_summand(c, tup.n0, tup.n, 0)[0] == 0
             for t in range(1, c.m):
-                assert _restricted_summand_degree(c, tup.n0, tup.n, t) < 0
+                assert _restricted_summand(c, tup.n0, tup.n, t)[0] < 0
