@@ -77,7 +77,7 @@ from .errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from .ffield import FieldSpec, Poly
+from .ffield import FieldSpec
 from .nonspecial import (
     coeffs_half_double,
     coeffs_half_single,
@@ -380,40 +380,33 @@ def _exponents(factors: tuple) -> dict:
     return out
 
 
-def _checked_terms(basis: Basis, xs: np.ndarray, m: int):
-    """Every term c * x^j / D * y^t of the basis as arrays (row, t, j, c,
-    index of D), with the distinct factor sets D in order of first use: a
-    run's d + 1 terms come from np.arange and np.repeat.
+def _check_terms(basis: Basis, xs: np.ndarray, m: int) -> dict:
+    """The distinct factor sets D of the terms c * x^j / D * y^t of the
+    basis, each mapped to its index in order of first use.
 
     Raises UnsupportedShape if a term has a weight outside [0, m), then
     PoleAtEvaluationPlace if one has a pole at one of the x-values xs: a
     factor (x - alpha)^(-r) with r > 0 (summed per alpha) and alpha among
-    them, or a negative power of x with 0 among them.  The check reads only
-    the terms, no field operations."""
-    sets, spans = {}, []  # (first row, t, first j, number of terms, c, index of D)
-    for start, piece in zip(basis.starts, basis.pieces):
-        if isinstance(piece, Run):
-            spans.append((start, piece.t, 0, piece.d + 1, 1,
-                          sets.setdefault(piece.factors, len(sets))))
-        else:
-            spans += [(start, bf.t, bf.xpow, 1, c, sets.setdefault(bf.factors, len(sets)))
-                      for c, bf in piece.terms]
-    spans = np.array(spans, dtype=np.int64).reshape(-1, 6).T
-    size = spans[3]
-    step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    row, t, j, _, c, den = (np.repeat(column, size) for column in spans)
-    row, j = row + step, j + step
-    if t.size and not 0 <= t.min() <= t.max() < m:
-        raise UnsupportedShape(f"basis weights {np.unique(t).tolist()} leave [0, {m})")
+    them, or a negative power of x with 0 among them.  It reads the pieces
+    (a run's powers are 0..d), with no field operations."""
+    sets, weights, negative = {}, set(), False
+    for piece in basis.pieces:
+        for t, f, j in ([(piece.t, piece.factors, 0)] if isinstance(piece, Run)
+                        else [(bf.t, bf.factors, bf.xpow) for _, bf in piece.terms]):
+            weights.add(t)
+            sets.setdefault(f, len(sets))
+            negative = negative or j < 0
+    if weights and not 0 <= min(weights) <= max(weights) < m:
+        raise UnsupportedShape(f"basis weights {sorted(weights)} leave [0, {m})")
     values = set(xs.tolist())
     for f in sets:
         for alpha, r in _exponents(f).items():
             if r > 0 and alpha in values:
                 raise PoleAtEvaluationPlace(
                     f"pole at x = {alpha} among evaluation places")
-    if 0 in values and (j < 0).any():
+    if 0 in values and negative:
         raise PoleAtEvaluationPlace("pole at x = 0 among evaluation places")
-    return row, t, j, c, den, list(sets)
+    return sets
 
 
 def split_place_list(curve: KummerCurve, a_values) -> Fibers:
@@ -439,35 +432,46 @@ def eval_matrix(curve: KummerCurve, basis, fibers: Fibers) -> np.ndarray:
     the place (xs[j], y) the row takes the value sum_t [i, t * T + j] * y^t,
     so this k x mT matrix has the generator matrix's shape and rank.
 
-    All terms are evaluated together.  The D distinct factor sets become
-    one exponent matrix over the A distinct alpha's (-r, summed when a set
-    names an alpha twice), and one pow_prod of the A x T differences
-    xs - alpha gives every denominator vector.  Then one pow_arr of xs to
-    every term's exponent, one mul_arr by every term's denominator vector
-    and one by every coefficient.  Terms that share a (row, weight) cell are
-    summed by add_arr, one call per term beyond the first in the fullest
-    cell, so the field kernel calls grow with neither the number of terms
-    nor of denominators.
+    All terms are evaluated together.  Every term c * x^j / D is a row of
+    one exponent matrix over the bases x, x - alpha_1, ..., x - alpha_A (the
+    A distinct alpha's): (j, -r_1, ..., -r_A), r summed when a set names an
+    alpha twice.  One sub_arr gives the (A + 1) x T base values, one
+    pow_prod every term's x^j / D at xs, and one mul_arr multiplies in the
+    coefficients.  Terms that share a (row, weight) cell are summed by
+    add_arr, one call per term beyond the first in the fullest cell, so the
+    field kernel calls grow with neither the number of terms nor of
+    denominators.
     """
     F = curve.field
     xs = _require_fibers(curve, fibers).xs
     basis = Basis.of(basis)
     T, m = len(xs), curve.m
     out = np.zeros((len(basis), m * T), dtype=np.int64)
-    row, t, xpow, coeff, den, sets = _checked_terms(basis, xs, m)
-    if not row.size:
+    sets = _check_terms(basis, xs, m)
+    spans = []  # (first row, t, first j, number of terms, c, index of D)
+    for start, piece in zip(basis.starts, basis.pieces):
+        if isinstance(piece, Run):
+            spans.append((start, piece.t, 0, piece.d + 1, 1, sets[piece.factors]))
+        else:
+            spans += [(start, bf.t, bf.xpow, 1, c, sets[bf.factors])
+                      for c, bf in piece.terms]
+    if not spans:
         return out
+    spans = np.array(spans, dtype=np.int64).T
+    size = spans[3]  # a run's d + 1 terms come from np.arange and np.repeat
+    step = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    row, t, xpow, _, coeff, den = (np.repeat(column, size) for column in spans)
+    row, xpow = row + step, xpow + step
     col = {alpha: j for j, alpha in
-           enumerate(dict.fromkeys(alpha for f in sets for alpha, _ in f))}
-    exps = np.zeros((len(sets), len(col)), dtype=np.int64)
+           enumerate(dict.fromkeys(alpha for f in sets for alpha, _ in f), 1)}
+    exps = np.zeros((len(sets), len(col) + 1), dtype=np.int64)
     for k, f in enumerate(sets):  # prod (x - alpha)^(-r) at xs
         for alpha, r in f:
             exps[k, col[alpha]] -= r
-    diffs = F.sub_arr(xs[None, :], np.array(list(col), dtype=np.int64)[:, None])
-    dens = F.pow_prod(diffs, exps)
-    vals = F.pow_arr(xs[None, :], xpow[:, None])
-    vals = F.mul_arr(vals, dens[den])
-    vals = F.mul_arr(vals, coeff[:, None])
+    exps = exps[den]
+    exps[:, 0] = xpow
+    bases = F.sub_arr(xs[None, :], np.array([0, *col], dtype=np.int64)[:, None])
+    vals = F.mul_arr(F.pow_prod(bases, exps), coeff[:, None])
     # a (row, weight) cell may hold several terms: fancy assignment keeps
     # one write per repeated index and np.add.at adds integers, not field
     # elements, so pass r adds the r-th term of every cell by add_arr
@@ -508,8 +512,15 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     degree d + deg c_1, where c_1 = L / D_1 (if there is no run, d = -1 and
     c_1 = 1).  Its rows span the multiples of c_1 of degree <= d + deg c_1,
     and the residue of any polynomial P modulo that span is (P mod c_1, the
-    coefficients of P div c_1 in degrees > d).  While every polynomial at w has degree < T,
-    the weight adds d + 1 and the residues of the other parts there.
+    coefficients of P div c_1 in degrees > d); where deg P > d + deg c_1
+    it is deg c_1 plus the top quotient degree, so cancelling terms count
+    no degree.  While every polynomial at w has degree < T, the weight adds
+    d + 1 and the residues of the other parts.  Two one-term residues need
+    no division: c x^j / D_1 over side 1's set is c x^j c_1, with residue c
+    at quotient degree j if j > d, else 0; and c x^j with L / D = 1 and
+    j < deg c_1 is its own remainder.  So the other runs (a stacked pair's
+    shorter run at each weight) are blocks of zeros or identity rows, set
+    by index, and only the remaining rows are divided by c_1.
 
     A weight is saturated when its single-weight rows reach rank T: side 1
     alone with d + 1 >= T, whatever other rows are there (its rows are a
@@ -540,7 +551,7 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     field = curve.field
     xs = _require_fibers(curve, fibers).xs
     basis = Basis.of(basis)
-    _checked_terms(basis, xs, curve.m)
+    _check_terms(basis, xs, curve.m)
     T = len(xs)
     # weight -> [(first row, its Run or its terms there)]; rows of several weights
     at, joined = {}, set()
@@ -555,7 +566,7 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
             at.setdefault(w, []).append((k, terms))
         if len(parts) > 1:
             joined.add(k)
-    rank, width, pieces = 0, 0, {}  # pieces: row -> [(column, block), ...]
+    rank, width, index, blocks = 0, 0, {}, []  # index: row -> its row of the matrix
     for w in sorted(at):
         part = at[w]
         # D -> [(first row, d)] of the runs x^j / D, j = 0..d; row -> its terms
@@ -573,82 +584,104 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
         for exps in powers.values():
             for alpha, r in exps.items():
                 top[alpha] = max(top.get(alpha, 0), r)
+        # L / D = prod (x - alpha)^ratio[D][alpha], of degree deg[D]
+        ratio = {f: {alpha: e - powers[f].get(alpha, 0) for alpha, e in top.items()
+                     if e != powers[f].get(alpha, 0)} for f in factor_sets}
+        deg = {f: sum(ratio[f].values()) for f in factor_sets}
         side, d1, n1 = None, -1, -1  # n1 = d1 + deg c_1
         for f, runs in groups.items():
             d = max(d for _, d in runs)
-            n = d + sum(top.values()) - sum(r for _, r in f)
-            if n > n1:
-                side, d1, n1 = f, d, n
-        rest.update((k + j, [(1, j, f)]) for f, runs in groups.items() if f != side
-                    for k, d in runs for j in range(d + 1))
+            if d + deg[f] > n1:
+                side, d1, n1 = f, d, d + deg[f]
+        runs = [(k, d, f) for f, rs in groups.items() if f != side for k, d in rs]
         evaluate = any(r < 0 for exps in powers.values() for r in exps.values()) or \
             any(j < 0 for terms in rest.values() for _, j, _ in terms)
         if not evaluate:
-            if d1 + 1 >= T:
-                rank += T
+            ids = list(rest) + [k + j for k, d, _ in runs for j in range(d + 1)]
+            if d1 + 1 >= T or not ids:  # saturated, or side 1 alone (L = D_1)
+                rank += min(d1 + 1, T)
                 continue
-            cofactors = {}
+            c1, e1 = ratio.get(side, {}), n1 - d1  # c_1 = L / D_1 (1 if no side 1)
+            top_degree = max([n1] + [d + deg[f] for _, d, f in runs] + [
+                j + deg[f] for terms in rest.values() for _, j, f in terms])
+            R = np.zeros((len(ids), top_degree - d1), dtype=np.int64)
 
-            def cofactor(f):  # the coefficients of L / D
-                if f not in cofactors:
-                    r = powers[f]
-                    coeffs = [1]
-                    for alpha, e in top.items():
-                        minus = field.neg(alpha)
-                        for _ in range(e - r.get(alpha, 0)):  # times (x - alpha)
-                            coeffs = [field.add(lo, field.mul(minus, hi))
-                                      for lo, hi in zip([0] + coeffs, coeffs + [0])]
-                    cofactors[f] = coeffs
-                return cofactors[f]
+            def spot(j, f):  # the column of x^j L / D's residue, -1 if it is 0
+                if ratio[f] == c1:  # x^j c_1: quotient x^j
+                    return j - d1 - 1 + e1 if j > d1 else -1
+                return j if not ratio[f] and j < e1 else None  # its own remainder
 
-            def poly(terms):
-                out = [0] * max(j + len(cofactor(f)) for _, j, f in terms)
+            divide = []  # (row of R, its terms): any row of several terms
+            for i, terms in enumerate(rest.values()):
+                s = spot(*terms[0][1:]) if len(terms) == 1 else None
+                if s is None:
+                    divide.append((i, terms))
+                elif s >= 0:
+                    R[i, s] = terms[0][0]
+            i = len(rest)
+            for k, d, f in runs:  # rows x^j L / D, j = 0..d, as one block
+                eye = 0 if ratio[f] else min(d + 1, e1)  # x^j, j < deg c_1: itself
+                R[i + np.arange(eye), np.arange(eye)] = 1
+                done = d + 1 if ratio[f] == c1 else eye  # x^j c_1, j <= d <= d1: 0
+                divide += [(i + j, [(1, j, f)]) for j in range(done, d + 1)]
+                i += d + 1
+
+            def expand(exps):  # prod (x - alpha)^e, only for the rows divided
+                out = [1]
+                for alpha in [a for a, e in exps.items() for _ in range(e)]:
+                    out = [field.sub(lo, field.mul(alpha, hi))
+                           for lo, hi in zip([0] + out, out + [0])]
+                return out
+
+            for i, terms in divide:
+                P = [0] * (max(j + deg[f] for _, j, f in terms) + 1)
                 for c, j, f in terms:
-                    for i, a in enumerate(cofactor(f), j):
-                        out[i] = field.add(out[i], field.mul(c, a))
-                return Poly(field, out)
+                    for n, a in enumerate(expand(ratio[f]), j):
+                        P[n] = field.add(P[n], field.mul(c, a))
+                R[i] = _residue(field, P, expand(c1), d1, R.shape[1])
 
-            c1 = Poly(field, [1] if side is None else cofactor(side))
-            polys = {k: poly(terms) for k, terms in rest.items()}
-            local = [P for k, P in polys.items() if k not in joined]
-            n_local = max([n1] + [P.degree for P in local])
-            n_all = max([n1] + [P.degree for P in polys.values()])
-            if n_all < T:
+            def cols(rows):  # n - d1, n the highest degree of side 1 and rows
+                hit = np.flatnonzero(rows.any(axis=0))
+                return max(e1, hit[-1] + 1) if hit.size else e1
+
+            if d1 + cols(R) < T:
                 rank += d1 + 1
-                cols = n_all - d1
-                blocks = {k: _residue(P, c1, d1, cols) for k, P in polys.items()}
-            elif n_local < T and d1 + 1 + _nonempty_rank(field, np.array(
-                    [_residue(P, c1, d1, n_local - d1) for P in local],
-                    dtype=np.int64).reshape(len(local), n_local - d1)) == T:
-                rank += T
-                continue
+                block = R[:, :cols(R)]
             else:
+                local = R[[k not in joined for k in ids]]
+                n = cols(local)
+                if d1 + n < T and d1 + 1 + _nonempty_rank(field, local[:, :n]) == T:
+                    rank += T
+                    continue
                 evaluate = True
         if evaluate:
             rows = Basis(p if isinstance(p, Run) else SpaceElement(tuple(p))
                          for _, p in part)
-            values = eval_matrix(curve, rows, fibers)[:, w * T:(w + 1) * T]
+            block = eval_matrix(curve, rows, fibers)[:, w * T:(w + 1) * T]
             ids = [k + j for k, p in part
                    for j in range(p.d + 1 if isinstance(p, Run) else 1)]
-            blocks, cols = dict(zip(ids, values)), T
-        for k, block in blocks.items():
-            pieces.setdefault(k, []).append((width, block))
-        width += cols
-    M = np.zeros((len(pieces), width), dtype=np.int64)
-    for row, parts in zip(M, pieces.values()):
-        for col, block in parts:
-            row[col:col + len(block)] = block
+        for k in ids:
+            index.setdefault(k, len(index))
+        blocks.append((ids, width, block))
+        width += block.shape[1]
+    M = np.zeros((len(index), width), dtype=np.int64)
+    for ids, col, block in blocks:
+        M[[index[k] for k in ids], col:col + block.shape[1]] = block
     return rank + _nonempty_rank(field, M)
 
 
-def _residue(P: Poly, c1: Poly, d1: int, cols: int) -> np.ndarray:
-    """(P mod c1, the coefficients of P div c1 in degrees > d1), in cols
-    entries: deg c1 for the remainder, the rest for the quotient."""
-    quot, rem = divmod(P, c1)
+def _residue(field: FieldSpec, P: list, c1: list, d1: int, cols: int) -> np.ndarray:
+    """(P mod c1, the coefficients of P div c1 in degrees > d1) in cols
+    entries, the remainder first.  P (which may end in zeros) and the monic
+    c1 are coefficient lists, low to high, and cols >= deg P - d1."""
+    rem, e = list(P), len(c1) - 1
     out = np.zeros(cols, dtype=np.int64)
-    out[:len(rem.coeffs)] = rem.coeffs
-    high = quot.coeffs[d1 + 1:]
-    out[c1.degree:c1.degree + len(high)] = high
+    for i in range(len(rem) - 1, e - 1, -1):  # the quotient's x^(i - e)
+        for n in range(e if rem[i] else 0):
+            rem[i - e + n] = field.sub(rem[i - e + n], field.mul(rem[i], c1[n]))
+        if i - e > d1:
+            out[i - d1 - 1] = rem[i]
+    out[:min(e, len(rem))] = rem[:e]
     return out
 
 
@@ -660,10 +693,15 @@ def _nonempty_rank(field: FieldSpec, matrix: np.ndarray) -> int:
 def gf_rank(field: FieldSpec, matrix: np.ndarray) -> int:
     """Rank over GF(q) by vectorized Gaussian elimination.
 
-    The pivot row is not normalized: each row below is reduced by its own
-    multiple pivot^-1 * entry, which leaves the rank unchanged.
+    A column with one nonzero entry pivots on its row and touches no other
+    row, so those rows are peeled first, one each.  The pivot row is not
+    normalized: each row below is reduced by its own multiple
+    pivot^-1 * entry, which leaves the rank unchanged.
     """
     M = np.array(matrix, dtype=np.int64)
+    single = np.count_nonzero(M, axis=0) == 1
+    peeled = np.unique(np.nonzero(M[:, single])[0])
+    M = np.delete(M, peeled, axis=0)[:, ~single]
     rows, cols = M.shape
     rank = 0
     for c in range(cols):
@@ -681,7 +719,7 @@ def gf_rank(field: FieldSpec, matrix: np.ndarray) -> int:
             M[idx] = field.sub_arr(
                 M[idx], field.mul_arr(factors[:, None], M[rank][None, :]))
         rank += 1
-    return rank
+    return len(peeled) + rank
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +767,8 @@ class LinearCode:
 def build_code(curve: KummerCurve, G: Divisor, fibers: Fibers) -> LinearCode:
     """Evaluation code of L(G) at whole fibers of split places."""
     n = len(_require_fibers(curve, fibers).places)
-    if any(p in G.table for p in fibers.places):
+    if any(fibers.places[i] == p for p in G.table if p.kind == "split" for i in
+           np.flatnonzero((fibers.xs[fibers.col] == p.a) & (fibers.y == p.y))):
         raise SupportOverlap("supp(G) meets the evaluation divisor")
     deg = G.degree
     g = curve.genus

@@ -239,17 +239,17 @@ class FieldSpec:
         """Row i is prod_j bases[j] ** exps[i, j], elementwise over the
         columns of bases (A x T, with exps D x A): one integer matrix product
         of logarithms.  Zero bases follow pow_arr: 0 ** 0 = 1, a positive
-        power is 0 and a negative one raises.  Those masks read the exponents
-        before they are reduced modulo q - 1, so the result is exact for any
-        int64 exponent."""
+        power is 0 and a negative one raises.  Those masks (made only when a
+        base is 0) read the exponents before they are reduced modulo q - 1,
+        so the result is exact for any int64 exponent."""
         bases = np.asarray(bases, dtype=np.int64)
         exps = np.asarray(exps, dtype=np.int64)
         zero = (bases == 0).astype(np.int64)
-        if ((exps < 0) @ zero).any():
+        if zero.any() and ((exps < 0) @ zero).any():
             raise ZeroDivisionError("negative power of zero")
         # log 0 is the sentinel 2 (q - 1): a zero base adds 0 modulo q - 1
-        logs = (exps % (self.q - 1)) @ self._log[bases] % (self.q - 1)
-        return np.where((exps > 0) @ zero > 0, 0, self._exp[logs])
+        out = self._exp[(exps % (self.q - 1)) @ self._log[bases] % (self.q - 1)]
+        return np.where((exps > 0) @ zero > 0, 0, out) if zero.any() else out
 
     # -- misc --
 

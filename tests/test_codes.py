@@ -278,6 +278,10 @@ def test_gf_rank_known_matrices(gf7):
     N = np.array([[2, 1], [1, 2]], dtype=np.int64)
     assert gf_rank(gf7, N) == 2
     assert gf_rank(make_field(3, 1), N) == 1
+    # columns with one nonzero entry: two on one row count that row once,
+    # and a peeled row leaves the others to eliminate
+    assert gf_rank(gf7, np.array([[3, 5, 1], [0, 0, 2], [0, 0, 4]])) == 2
+    assert gf_rank(gf7, np.array([[1, 1, 2], [0, 3, 6], [0, 0, 0]])) == 2
 
 
 @settings(max_examples=80, **PROPERTY_SETTINGS)
@@ -301,6 +305,64 @@ def test_gf_rank_matches_sympy_over_prime_fields(data):
         M = matrix(rows, cols)
     want = DomainMatrix.from_list(M.tolist(), GF(p)).rank()
     assert gf_rank(make_field(p, 1), M) == want
+
+
+@settings(max_examples=80, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_gf_rank_peel_matches_sympy_on_sparse_matrices(data):
+    # mostly-zero matrices with the columns gf_rank peels before eliminating:
+    # unit columns, two single-entry columns on one row, zero rows and zero
+    # columns, in a drawn order
+    p = data.draw(st.sampled_from([2, 3, 7, 103]), label="p")
+    rows, cols = data.draw(st.integers(1, 8), label="rows"), \
+        data.draw(st.integers(0, 8), label="cols")
+    entry = st.one_of(st.just(0), st.just(0), st.integers(1, p - 1))
+    M = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)),
+                 dtype=np.int64).reshape(rows, cols)
+    row = st.integers(0, rows - 1)
+    singles = data.draw(st.lists(row, max_size=3), label="unit rows")
+    twice = data.draw(st.lists(row, max_size=1), label="two on one row")
+    extra = np.zeros((rows, len(singles) + 2 * len(twice)), dtype=np.int64)
+    for j, r in enumerate(singles + twice + twice):
+        extra[r, j] = data.draw(st.integers(1, p - 1), label="entry")
+    zero_cols = data.draw(st.integers(0, 2), label="zero columns")
+    M = np.hstack([M, extra, np.zeros((rows, zero_cols), dtype=np.int64)])
+    M = np.vstack([M, np.zeros((data.draw(st.integers(0, 2), label="zero rows"),
+                                M.shape[1]), dtype=np.int64)])
+    M = M[data.draw(st.permutations(range(len(M))), label="row order")]
+    M = M[:, data.draw(st.permutations(range(M.shape[1])), label="column order")]
+    want = DomainMatrix.from_list(M.tolist(), GF(p)).rank() if M.size else 0
+    assert gf_rank(make_field(p, 1), M) == want
+
+
+@settings(max_examples=150, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_residue_matches_poly_divmod(data):
+    # the residue of P modulo the multiples of c_1 of degree <= d1 + deg c_1:
+    # P mod c_1, then the coefficients of P div c_1 in degrees > d1
+    F = data.draw(st.sampled_from([make_field(7, 1), make_field(7, 2)]), label="F")
+    element = st.integers(0, F.q - 1)
+    c1 = data.draw(st.lists(element, max_size=4), label="c1 below its top") + [1]
+    case = data.draw(st.sampled_from(["any", "short", "multiple", "cancel"]),
+                     label="case")
+    P = data.draw(st.lists(element, max_size=len(c1) - 1 if case == "short" else 9),
+                  label="P")
+    if case == "multiple":
+        P = list((Poly(F, P) * Poly(F, c1)).coeffs)
+    if case == "cancel":  # a term and its negative: zeros on top of P
+        P += [F.add(c, F.neg(c)) for c in data.draw(st.lists(element, min_size=1,
+                                                             max_size=3), label="top")]
+    d1 = data.draw(st.integers(-1, 6), label="d1")
+    cols = max(len(c1) - 1, len(P) - 1 - d1)
+    quot, rem = divmod(Poly(F, P), Poly(F, c1))
+    want = np.zeros(cols, dtype=np.int64)
+    want[:len(rem.coeffs)] = rem.coeffs
+    high = quot.coeffs[d1 + 1:]
+    want[len(c1) - 1:len(c1) - 1 + len(high)] = high
+    assert codes._residue(F, P, c1, d1, cols).tolist() == want.tolist()
+    if case == "multiple":
+        assert not want[:len(c1) - 1].any()
 
 
 def test_eval_matrix_constants_row(f169):
@@ -363,6 +425,22 @@ def test_build_code_errors(toy9):
     with pytest.raises(SupportOverlap):
         build_code(toy9, base + 2 * x_pole_divisor(toy9)
                    + Divisor({fibers.places[0]: 1}), fibers)
+
+
+def test_build_code_support_overlap_at_any_fiber_place(toy9):
+    # G meets the fibers at a place equal to one of theirs, with either
+    # sign; a split place above another x-value is no overlap, and the
+    # divisor shape then refuses it
+    values = completely_split_values(toy9)
+    fibers = split_place_list(toy9, values[1:])  # n = 6
+    G = (invariant_divisor(toy9, coeffs_all_ones(2, 5))
+         - Divisor({toy9.q_infinity(): 1}) + x_pole_divisor(toy9))
+    for p, c in ((fibers.places[0], 1), (fibers.places[-1], -1), (fibers.places[3], 2)):
+        with pytest.raises(SupportOverlap, match=r"supp\(G\) meets the evaluation"):
+            build_code(toy9, G + Divisor({Place("split", a=p.a, y=p.y): c}), fibers)
+    off = split_place_list(toy9, values[:1]).places[0]
+    with pytest.raises(UnsupportedShape, match="split-place support"):
+        build_code(toy9, G + Divisor({off: 1}), fibers)
 
 
 def test_build_code_needs_whole_fibers(toy9, f49, f169):
@@ -1262,14 +1340,14 @@ def shapes(matrices):
 
 
 def test_monomial_rank_branches(f49, zero_split, rank_calls, eval_calls):
-    # T = 4 split values of f49; denominators over its first two branch
+    # T = 4 split values of f49; denominators over its first three branch
     # points; gf_rank sees one residue matrix, holding the evaluated block
     # of each weight that needs one, and eval_matrix sees the parts at each
     # such weight and no others
     F = f49.field
     values = completely_split_values(f49)[:4]
     fibers = split_place_list(f49, values)
-    a, b = f49.alphas[:2]
+    a, b, z = f49.alphas[:3]
     one, x = BasisFunction(0, 0, ()), BasisFunction(0, 1, ())
     # prod (x - v) over the x-values: degree T, zero at every x-value
     vanish = reduce(Poly.__mul__, [Poly.linear(F, v) for v in values])
@@ -1297,6 +1375,15 @@ def test_monomial_rank_branches(f49, zero_split, rank_calls, eval_calls):
         # c_1 = L = (x - a)^2, and the rows 1, x leave two remainders
         (monomial_rows(0, ((a, 1), (a, 1)), range(2)) + monomial_rows(0, (), range(1)),
          3, [(2, 2)], []),
+        # a run naming (x - a)(x - b) in the other order is not side 1, and
+        # its rows x^j L / D = x^j c_1 (j <= d) leave zero residues: none
+        # with c_1 = 1, beside one remainder column (mod c_1 = x - z) of
+        # the third set's rows x^j (x - a)(x - b)
+        (monomial_rows(0, ((a, 1), (b, 1)), range(3))
+         + monomial_rows(0, ((b, 1), (a, 1)), range(2)), 3, [], []),
+        (monomial_rows(0, ((a, 1), (b, 1)), range(3))
+         + monomial_rows(0, ((b, 1), (a, 1)), range(2))
+         + monomial_rows(0, ((z, 1),), range(2)), 4, [(4, 1)], []),
         # a factor with r < 0 is a numerator, here zero at an x-value: the
         # weight is evaluated, a 4 x T block
         (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 4)], [0]),
@@ -1398,8 +1485,8 @@ def test_dickson103_n400_eval_calls_follow_denominators(dickson103, kernel_calls
 
 def test_eval_matrix_kernel_calls_are_constant(f169, kernel_calls):
     # the f169 pair's bases: 6 factor sets each, with 14 (C) and 28 (E)
-    # (alpha, r) entries; every denominator comes from one sub_arr and one
-    # pow_prod, so the kernel calls do not grow with the entries
+    # (alpha, r) entries; every term's x^j / D comes from one sub_arr and
+    # one pow_prod, so the kernel calls do not grow with the entries
     pair = lcp_build_regime(f169, "lambda_two", s=2)
     counts = []
     for code, entries in ((pair.C, 14), (pair.E, 28)):
@@ -1410,7 +1497,8 @@ def test_eval_matrix_kernel_calls_are_constant(f169, kernel_calls):
         counts.append(dict(kernel_calls))
     assert counts[0] == counts[1]
     assert counts[1]["sub_arr"] == counts[1]["pow_prod"] == 1
-    assert sum(counts[1].values()) == 7  # sub_arr's add_arr and neg_arr included
+    # sub_arr's add_arr and neg_arr, and one mul_arr by the coefficients
+    assert sum(counts[1].values()) == 5
 
 
 def test_dickson103_pair_n2400(dickson103):

@@ -12,6 +12,7 @@ import pytest
 from kummerlcp import codes, gf_rank, make_curve
 from kummerlcp.cli import main
 from kummerlcp.codes import fiber_values
+from kummerlcp.ffield import Poly
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kummerlcp"
 ROOT = PACKAGE.parent.parent
@@ -180,6 +181,37 @@ def test_bench_dickson103_op_ranks_by_residue(monkeypatch):
     snap, nonzeros = _traced_op("dickson103_n400", monkeypatch)
     assert snap["codes.eval_matrix.calls"] == 2
     assert (snap["codes.gf_rank.calls"], nonzeros) == (1, 24)
+
+
+@pytest.mark.parametrize("name, ranks, divided", [
+    ("catalog", 9, 2),
+    ("dickson103_n400", 3, 0),
+])
+def test_bench_op_ranks_without_poly_division(name, ranks, divided, monkeypatch):
+    # x_part_rank (both codes and their stack, per pair) sets its residue
+    # blocks by index: it divides no Poly, and only two catalog rows, over a
+    # factor set that is neither side 1's nor L, go through _residue
+    stagetrace, workloads = _bench_modules()
+    wl = workloads.WORKLOADS[name]
+    inputs = wl.setup(1)
+    inside, calls = [], {"x_part_rank": 0, "_residue": 0, "divmod": 0}
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += name == "x_part_rank" or bool(inside)
+            inside.append(name)
+            try:
+                return function(*args)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(codes, "x_part_rank", counted("x_part_rank", codes.x_part_rank))
+    monkeypatch.setattr(codes, "_residue", counted("_residue", codes._residue))
+    monkeypatch.setattr(Poly, "__divmod__", counted("divmod", Poly.__divmod__))
+    out = wl.op(inputs, 0)
+    assert wl.check(inputs, 0, out) is None
+    assert calls == {"x_part_rank": ranks, "_residue": divided, "divmod": 0}
 
 
 def _declared_requirements():
