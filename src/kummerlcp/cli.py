@@ -3,7 +3,8 @@
 Subcommands: curve info, nonspecial enumerate, nonspecial check, lcp build,
 census, reproduce.  Curves are given inline (--m/--lambdas, optionally
 --field/--alphas), as a JSON file (--spec), or by catalog id (--catalog).
-Output is text by default; --json and --csv switch formats.  Exit codes:
+Output is text by default; --json switches to JSON, and --csv to CSV on
+nonspecial enumerate and check (the commands with a CSV form).  Exit codes:
 0 success, 1 domain error, 2 usage error.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -73,14 +73,10 @@ def _load_curve(args) -> KummerCurve:
 
 
 def _emit(payload, args, text_fn, csv_rows_fn=None):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif getattr(args, "csv", False) and csv_rows_fn is not None:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in csv_rows_fn():
-            writer.writerow(row)
-        sys.stdout.write(out.getvalue())
+    elif args.csv:
+        csv.writer(sys.stdout).writerows(csv_rows_fn())
     else:
         text_fn()
 
@@ -198,8 +194,10 @@ def _cmd_reproduce(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kummerlcp")
-    parser.add_argument("--json", action="store_true", help="JSON output")
-    parser.add_argument("--csv", action="store_true", help="CSV output")
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output")
+    fmt.add_argument("--csv", action="store_true",
+                     help="CSV output (nonspecial enumerate and check)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_curve = sub.add_parser("curve", help="curve inspection")
@@ -247,6 +245,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.csv and args.func not in (_cmd_enumerate, _cmd_check):
+            raise UsageError("--csv is for nonspecial enumerate and check only")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -42,6 +42,7 @@ LinearCode.gen() evaluates on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ from .errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from .ffield import FieldSpec
+from .ffield import FieldSpec, Poly
 from .nonspecial import (
     coeffs_half_double,
     coeffs_half_single,
@@ -515,12 +516,18 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     coefficients of P div c_1 in degrees > d); where deg P > d + deg c_1
     it is deg c_1 plus the top quotient degree, so cancelling terms count
     no degree.  While every polynomial at w has degree < T, the weight adds
-    d + 1 and the residues of the other parts.  Two one-term residues need
-    no division: c x^j / D_1 over side 1's set is c x^j c_1, with residue c
-    at quotient degree j if j > d, else 0; and c x^j with L / D = 1 and
-    j < deg c_1 is its own remainder.  So the other runs (a stacked pair's
-    shorter run at each weight) are blocks of zeros or identity rows, set
-    by index, and only the remaining rows are divided by c_1.
+    d + 1 and the residues of the other parts.  Each one-term row and each
+    run but side 1's is a span c x^j L / D, j = j_0..j_0 + n - 1 (a run has
+    c = 1, j_0 = 0 and n = d + 1), and each of its rows takes the first of
+    three rules that applies:
+      * if L / D = c_1, the residue is c at quotient degree j when j > d,
+        and 0 otherwise (set by index);
+      * if L / D = 1 and j < deg c_1, the term is its own remainder (set by
+        index);
+      * otherwise the row is divided by c_1, as is every row of several
+        terms.
+    A stacked pair's shorter run at each weight takes the first rule or the
+    second, so the divisions are few.
 
     A weight is saturated when its single-weight rows reach rank T: side 1
     alone with d + 1 >= T, whatever other rows are there (its rows are a
@@ -553,32 +560,22 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     basis = Basis.of(basis)
     _check_terms(basis, xs, curve.m)
     T = len(xs)
-    # weight -> [(first row, its Run or its terms there)]; rows of several weights
-    at, joined = {}, set()
-    for k, piece in zip(basis.starts, basis.pieces):
-        if isinstance(piece, Run):  # nearly every row of a code's basis
-            at.setdefault(piece.t, []).append((k, piece))
+    # weight -> {D: [(first row, d)]} of the runs x^j / D, j = 0..d, and
+    # weight -> {row: [(c, j, D)]} of the other rows' terms there, in basis order
+    runs, rest, joined = {}, {}, set()
+    for k, p in zip(basis.starts, basis.pieces):
+        if isinstance(p, Run):  # nearly every row of a code's basis
+            runs.setdefault(p.t, {}).setdefault(p.factors, []).append((k, p.d))
             continue
-        parts = {}
-        for c, bf in piece.terms:
-            parts.setdefault(bf.t, []).append((c, bf))
-        for w, terms in parts.items():
-            at.setdefault(w, []).append((k, terms))
-        if len(parts) > 1:
+        for c, bf in p.terms:
+            rest.setdefault(bf.t, {}).setdefault(k, []).append((c, bf.xpow, bf.factors))
+        if len({bf.t for _, bf in p.terms}) > 1:
             joined.add(k)
     rank, width, index, blocks = 0, 0, {}, []  # index: row -> its row of the matrix
-    for w in sorted(at):
-        part = at[w]
-        # D -> [(first row, d)] of the runs x^j / D, j = 0..d; row -> its terms
-        # (c, j, D) for the other rows
-        groups, rest = {}, {}
-        for k, p in part:
-            if isinstance(p, Run):
-                groups.setdefault(p.factors, []).append((k, p.d))
-            else:
-                rest[k] = [(c, bf.xpow, bf.factors) for c, bf in p]
+    for w in sorted(runs.keys() | rest.keys()):
+        groups, terms_at = runs.get(w, {}), rest.get(w, {})
         factor_sets = set(groups).union(*({f for _, _, f in terms}
-                                          for terms in rest.values()))
+                                          for terms in terms_at.values()))
         powers = {f: _exponents(f) for f in factor_sets}
         top = {}  # L = prod (x - alpha)^top[alpha]
         for exps in powers.values():
@@ -589,56 +586,45 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
                      if e != powers[f].get(alpha, 0)} for f in factor_sets}
         deg = {f: sum(ratio[f].values()) for f in factor_sets}
         side, d1, n1 = None, -1, -1  # n1 = d1 + deg c_1
-        for f, runs in groups.items():
-            d = max(d for _, d in runs)
+        for f, rs in groups.items():
+            d = max(d for _, d in rs)
             if d + deg[f] > n1:
                 side, d1, n1 = f, d, d + deg[f]
-        runs = [(k, d, f) for f, rs in groups.items() if f != side for k, d in rs]
+        other = [(k, d, f) for f, rs in groups.items() if f != side for k, d in rs]
         evaluate = any(r < 0 for exps in powers.values() for r in exps.values()) or \
-            any(j < 0 for terms in rest.values() for _, j, _ in terms)
+            any(j < 0 for terms in terms_at.values() for _, j, _ in terms)
         if not evaluate:
-            ids = list(rest) + [k + j for k, d, _ in runs for j in range(d + 1)]
+            ids = list(terms_at) + [k + j for k, d, _ in other for j in range(d + 1)]
             if d1 + 1 >= T or not ids:  # saturated, or side 1 alone (L = D_1)
                 rank += min(d1 + 1, T)
                 continue
             c1, e1 = ratio.get(side, {}), n1 - d1  # c_1 = L / D_1 (1 if no side 1)
-            top_degree = max([n1] + [d + deg[f] for _, d, f in runs] + [
-                j + deg[f] for terms in rest.values() for _, j, f in terms])
+            top_degree = max([n1] + [d + deg[f] for _, d, f in other] + [
+                j + deg[f] for terms in terms_at.values() for _, j, f in terms])
             R = np.zeros((len(ids), top_degree - d1), dtype=np.int64)
+            at = {k: i for i, k in enumerate(ids)}
+            divide = [(at[k], terms) for k, terms in terms_at.items() if len(terms) > 1]
+            # spans c x^j L / D, j = j0..j0 + n - 1, from row i of R
+            spans = [(at[k], *terms[0], 1) for k, terms in terms_at.items()
+                     if len(terms) == 1] + [(at[k], 1, 0, f, d + 1) for k, d, f in other]
+            for i, c, j0, f, n in spans:  # x^j c_1 with j <= d_1 is 0: skipped
+                for j in range(max(j0, d1 + 1) if ratio[f] == c1 else j0, j0 + n):
+                    if ratio[f] == c1:  # x^j c_1: c at quotient degree j
+                        R[i + j - j0, j - d1 - 1 + e1] = c
+                    elif not ratio[f] and j < e1:  # x^j, j < deg c_1: itself
+                        R[i + j - j0, j] = c
+                    else:
+                        divide.append((i + j - j0, [(c, j, f)]))
 
-            def spot(j, f):  # the column of x^j L / D's residue, -1 if it is 0
-                if ratio[f] == c1:  # x^j c_1: quotient x^j
-                    return j - d1 - 1 + e1 if j > d1 else -1
-                return j if not ratio[f] and j < e1 else None  # its own remainder
+            def poly(c, j, exps):  # c x^j prod (x - alpha)^e
+                return math.prod((Poly.linear(field, a) for a, e in exps.items()
+                                  for _ in range(e)), start=Poly(field, [0] * j + [c]))
 
-            divide = []  # (row of R, its terms): any row of several terms
-            for i, terms in enumerate(rest.values()):
-                s = spot(*terms[0][1:]) if len(terms) == 1 else None
-                if s is None:
-                    divide.append((i, terms))
-                elif s >= 0:
-                    R[i, s] = terms[0][0]
-            i = len(rest)
-            for k, d, f in runs:  # rows x^j L / D, j = 0..d, as one block
-                eye = 0 if ratio[f] else min(d + 1, e1)  # x^j, j < deg c_1: itself
-                R[i + np.arange(eye), np.arange(eye)] = 1
-                done = d + 1 if ratio[f] == c1 else eye  # x^j c_1, j <= d <= d1: 0
-                divide += [(i + j, [(1, j, f)]) for j in range(done, d + 1)]
-                i += d + 1
-
-            def expand(exps):  # prod (x - alpha)^e, only for the rows divided
-                out = [1]
-                for alpha in [a for a, e in exps.items() for _ in range(e)]:
-                    out = [field.sub(lo, field.mul(alpha, hi))
-                           for lo, hi in zip([0] + out, out + [0])]
-                return out
-
-            for i, terms in divide:
-                P = [0] * (max(j + deg[f] for _, j, f in terms) + 1)
-                for c, j, f in terms:
-                    for n, a in enumerate(expand(ratio[f]), j):
-                        P[n] = field.add(P[n], field.mul(c, a))
-                R[i] = _residue(field, P, expand(c1), d1, R.shape[1])
+            for i, terms in divide:  # P = sum c x^j L / D, then P divmod c_1
+                P = sum((poly(c, j, ratio[f]) for c, j, f in terms), Poly(field, []))
+                quot, rem = divmod(P, poly(1, 0, c1))
+                high = quot.coeffs[d1 + 1:]  # the quotient in degrees > d_1
+                R[i, :len(rem.coeffs)], R[i, e1:e1 + len(high)] = rem.coeffs, high
 
             def cols(rows):  # n - d1, n the highest degree of side 1 and rows
                 hit = np.flatnonzero(rows.any(axis=0))
@@ -649,17 +635,19 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
                 block = R[:, :cols(R)]
             else:
                 local = R[[k not in joined for k in ids]]
-                n = cols(local)
-                if d1 + n < T and d1 + 1 + _nonempty_rank(field, local[:, :n]) == T:
+                local = local[:, :cols(local)]  # if empty, it adds 0 < T - d1 - 1
+                if d1 + local.shape[1] < T and local.size and \
+                        d1 + 1 + gf_rank(field, local) == T:
                     rank += T
                     continue
                 evaluate = True
-        if evaluate:
-            rows = Basis(p if isinstance(p, Run) else SpaceElement(tuple(p))
-                         for _, p in part)
-            block = eval_matrix(curve, rows, fibers)[:, w * T:(w + 1) * T]
-            ids = [k + j for k, p in part
-                   for j in range(p.d + 1 if isinstance(p, Run) else 1)]
+        if evaluate:  # every row's terms at w, in basis order
+            rows = sorted([(k + j, [(1, j, f)]) for f, rs in groups.items() for k, d in rs
+                           for j in range(d + 1)] + list(terms_at.items()))
+            ids = [k for k, _ in rows]
+            block = eval_matrix(curve, [SpaceElement(tuple(
+                (c, BasisFunction(w, j, f)) for c, j, f in terms)) for _, terms in rows],
+                fibers)[:, w * T:(w + 1) * T]
         for k in ids:
             index.setdefault(k, len(index))
         blocks.append((ids, width, block))
@@ -667,27 +655,7 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     M = np.zeros((len(index), width), dtype=np.int64)
     for ids, col, block in blocks:
         M[[index[k] for k in ids], col:col + block.shape[1]] = block
-    return rank + _nonempty_rank(field, M)
-
-
-def _residue(field: FieldSpec, P: list, c1: list, d1: int, cols: int) -> np.ndarray:
-    """(P mod c1, the coefficients of P div c1 in degrees > d1) in cols
-    entries, the remainder first.  P (which may end in zeros) and the monic
-    c1 are coefficient lists, low to high, and cols >= deg P - d1."""
-    rem, e = list(P), len(c1) - 1
-    out = np.zeros(cols, dtype=np.int64)
-    for i in range(len(rem) - 1, e - 1, -1):  # the quotient's x^(i - e)
-        for n in range(e if rem[i] else 0):
-            rem[i - e + n] = field.sub(rem[i - e + n], field.mul(rem[i], c1[n]))
-        if i - e > d1:
-            out[i - d1 - 1] = rem[i]
-    out[:min(e, len(rem))] = rem[:e]
-    return out
-
-
-def _nonempty_rank(field: FieldSpec, matrix: np.ndarray) -> int:
-    """gf_rank, with no call for a matrix without rows or columns."""
-    return gf_rank(field, matrix) if matrix.size else 0
+    return rank + (gf_rank(field, M) if M.size else 0)
 
 
 def gf_rank(field: FieldSpec, matrix: np.ndarray) -> int:

@@ -101,7 +101,7 @@ class KummerCurve:
             a_enc = 1
         else:
             if not isinstance(field, FieldSpec):
-                raise TypeError("field must be a FieldSpec or None")
+                raise UsageError(f"field must be a FieldSpec or None, got {field!r}")
             self.field = field
             alphas = []
             lambdas = []
@@ -290,7 +290,8 @@ def _items(obj, what: str) -> list:
 
 
 def make_curve(field, m, branches, a=1) -> KummerCurve:
-    """Construct a Kummer curve; pass field=None and a lambda list for abstract."""
+    """Construct a Kummer curve; pass field=None and a lambda list for abstract.
+    A field that is neither a FieldSpec nor None raises UsageError."""
     return KummerCurve(field, m, branches, a)
 
 

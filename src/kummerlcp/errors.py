@@ -156,5 +156,6 @@ class UnknownId(KummerError):
 
 
 class UsageError(KummerError):
-    """Invalid combination of command-line arguments, or a malformed JSON
-    object (a missing key, or a value of the wrong kind)."""
+    """Invalid combination of command-line arguments, a malformed JSON
+    object (a missing key, or a value of the wrong kind), or an argument of
+    the wrong kind (make_curve's field neither a FieldSpec nor None)."""

@@ -266,10 +266,18 @@ class FieldSpec:
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: 7.0 and True miss 7 and 1
+# typed=True: a float or bool that reached it would miss the entry of the equal int
+_fields = functools.lru_cache(maxsize=None, typed=True)(FieldSpec)
+
+
 def make_field(p: int, k: int) -> FieldSpec:
-    """Construct (and cache) GF(p^k) with the canonical modulus."""
-    return FieldSpec(p, k)
+    """Construct (and cache) GF(p^k) with the canonical modulus.  p and k
+    are checked before the cache, which would raise TypeError on a list."""
+    return _fields(_integer(p, "p"), _integer(k, "k"))
+
+
+# the cache's handles, as on an lru_cache function
+make_field.cache_clear, make_field.__wrapped__ = _fields.cache_clear, FieldSpec
 
 
 # ---------------------------------------------------------------------------

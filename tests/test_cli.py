@@ -109,6 +109,8 @@ def test_missing_curve_usage_error(capsys, tmp_path, monkeypatch):
         ["curve", "info", "--m", "6", "--lambdas", "1,x"],
         ["curve", "info", "--m", "2", "--lambdas", "1,1", "--field", "7",
          "--alphas", "0,1"],
+        ["curve", "info", "--m", "2", "--lambdas", "1,1,1", "--field", "7,1",
+         "--alphas", "0,1"],  # --alphas and --lambdas of unequal length
         ["curve", "info", "--spec", str(tmp_path / "missing.json")],
     ]
     # spec objects with a key missing or a value of the wrong kind: each
@@ -192,7 +194,9 @@ def test_spec_encodings_exit_code(tmp_path, capsys):
              (("m",), 4.5, "NotAnInteger"), (("m",), None, "NotAnInteger"),
              (("branches", 1, "lambda"), 1.5, "NotAnInteger"),
              (("branches", 1, "lambda"), "1", "NotAnInteger"),
-             (("field", "p"), 7.0, "NotAnInteger")]
+             (("field", "p"), 7.0, "NotAnInteger"),
+             # once TypeError: unhashable type, in make_field's cache
+             (("field", "p"), [7], "NotAnInteger"), (("field", "k"), [2], "NotAnInteger")]
     for keys, bad, error in cases:
         spec = json.loads(json.dumps(curve))
         obj = spec
@@ -205,6 +209,27 @@ def test_spec_encodings_exit_code(tmp_path, capsys):
             code, _, err = run(capsys, *command, "--spec", str(path))
             assert code == 1, (keys, bad, command)
             assert error in err and "Traceback" not in err
+
+
+def test_format_flags(capsys):
+    # --json and --csv together are an argparse error; --csv only where a
+    # command has a CSV form (nonspecial enumerate and check)
+    with pytest.raises(SystemExit) as exc:
+        main(["--json", "--csv", "census", "--catalog", "f169"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    for argv in (["curve", "info", "--catalog", "ex37"],
+                 ["census", "--catalog", "f169"],
+                 ["lcp", "build", "--catalog", "dickson_half_m8",
+                  "--regime", "half_single"],
+                 ["reproduce", "f169"]):
+        code, out, err = run(capsys, "--csv", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "usage error: --csv" in err
+    for argv in (["nonspecial", "enumerate", "--catalog", "ex37"],
+                 ["nonspecial", "check", "--catalog", "ex37", "--tuple", "0,0,1,3,0,5"]):
+        code, out, _ = run(capsys, "--csv", *argv)
+        assert code == 0 and out[0].isdigit(), argv  # not "(0,..." or "tuple ..."
 
 
 def test_census_command(capsys):
@@ -364,3 +389,57 @@ def test_cli_fuzz_exits_0_1_or_2(data):
             assert exc.code == 2, argv
             return
     assert code in (0, 1, 2), argv
+
+
+#: keys of the spec objects, so that drawn objects often hold one
+SPEC_KEYS = ["abstract", "field", "p", "k", "m", "a", "branches", "alpha", "lambda",
+             "lambdas"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 60) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS), inner, max_size=3),
+    max_leaves=6)
+
+
+def spec_paths(obj, path=()):
+    """Every path of keys and indices into a JSON object, the root first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from spec_paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_cli_spec_fuzz_exits_0_1_or_2(tmp_path_factory, data):
+    # a valid spec with drawn values put in or keys taken out, or a drawn
+    # object: from_json and the constructors end in a KummerError
+    spec = data.draw(st.sampled_from([
+        {"field": {"p": 7, "k": 2}, "m": 4, "a": 1,
+         "branches": [{"alpha": 0, "lambda": 1}, {"alpha": 3, "lambda": 1}]},
+        {"abstract": True, "m": 6, "lambdas": [1, 1, 1, 3, 5]}]), label="spec")
+    spec = json.loads(json.dumps(spec))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        path = data.draw(st.sampled_from(list(spec_paths(spec))), label="path")
+        value = data.draw(json_values, label="value")
+        if not path:
+            spec = value
+            continue
+        obj = spec
+        for key in path[:-1]:
+            obj = obj[key]
+        if data.draw(st.booleans(), label="drop"):
+            del obj[path[-1]]
+        else:
+            obj[path[-1]] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed_spec.json"
+    path.write_text(json.dumps(spec))
+    command = data.draw(st.sampled_from([["curve", "info"], ["census"]]), label="command")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main([*command, "--spec", str(path)])
+    assert code in (0, 1, 2), spec
+    assert "Traceback" not in err.getvalue()

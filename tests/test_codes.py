@@ -131,7 +131,7 @@ def test_divisor_shape_roundtrip(f169):
     assert divisor_shape(f169, shifted) == (tup, 1)
 
 
-def test_divisor_shape_rejections(f169):
+def test_divisor_shape_rejections(f169, gf7):
     split = split_place_list(f169, completely_split_values(f169)[:1]).places[0]
     with pytest.raises(UnsupportedShape):
         divisor_shape(f169, Divisor({split: 1}))
@@ -143,6 +143,15 @@ def test_divisor_shape_rejections(f169):
     with pytest.raises(UnsupportedShape):
         divisor_shape(f169, Divisor({f169.q_infinity(): -2,
                                      f169.infinity_places()[1]: 0}))
+    # y^6 = (x - 1)(x - 2)^5 over GF(7): d_inf = gcd(6, 6) = 6 places above
+    # infinity; the five beside Q_infinity must carry one coefficient
+    curve = make_curve(gf7, 6, [(1, 1), (2, 5)])
+    inf = curve.infinity_places()
+    assert len(inf) == 6
+    assert divisor_shape(curve, Divisor(dict.fromkeys(inf[1:], 1))) \
+        == (InvariantTuple(1, (0, 0)), 1)
+    with pytest.raises(UnsupportedShape, match="non-distinguished infinite places"):
+        divisor_shape(curve, Divisor({**dict.fromkeys(inf[1:], 1), inf[2]: 2}))
 
 
 def test_rr_basis_dimensions(f169):
@@ -338,31 +347,49 @@ def test_gf_rank_peel_matches_sympy_on_sparse_matrices(data):
 
 @settings(max_examples=150, **PROPERTY_SETTINGS)
 @given(data=st.data())
-def test_residue_matches_poly_divmod(data):
-    # the residue of P modulo the multiples of c_1 of degree <= d1 + deg c_1:
-    # P mod c_1, then the coefficients of P div c_1 in degrees > d1
-    F = data.draw(st.sampled_from([make_field(7, 1), make_field(7, 2)]), label="F")
+def test_divided_row_ranks_as_dense_rank(f49, data):
+    # side 1 is the run x^j / D_1, j = 0..d1, and one more row P / L, L =
+    # D_1 c_1, of one term (set by index) or of several (divided by c_1):
+    # deg P < deg c_1, P a multiple of c_1, c_1 = 1, or zeros on top of P.
+    # Or a term c x^j / L or c x^j / D_1, j next to deg c_1 or d1, set by
+    # index, alone and beside the same function plus 0 / L, divided.  The
+    # rank equals the dense rank of the generator rows
+    F = f49.field
+    values = data.draw(st.lists(st.sampled_from(completely_split_values(f49)),
+                                min_size=1, max_size=12, unique=True), label="values")
+    fibers = split_place_list(f49, values)
+    factors = st.lists(st.tuples(st.sampled_from([a for a in range(F.q)
+                                                   if a not in values]),
+                                 st.integers(1, 2)),
+                       min_size=1, max_size=2, unique_by=lambda f: f[0]).map(tuple)
+    case = data.draw(st.sampled_from(["any", "short", "multiple", "one", "cancel",
+                                      "term"]), label="case")
+    D1 = data.draw(factors, label="D1")
+    c1 = () if case == "one" else data.draw(factors, label="c1")
+    d1 = data.draw(st.integers(0, 5), label="d1")
     element = st.integers(0, F.q - 1)
-    c1 = data.draw(st.lists(element, max_size=4), label="c1 below its top") + [1]
-    case = data.draw(st.sampled_from(["any", "short", "multiple", "cancel"]),
-                     label="case")
-    P = data.draw(st.lists(element, max_size=len(c1) - 1 if case == "short" else 9),
-                  label="P")
+    deg_c1 = sum(r for _, r in c1)
+    P = data.draw(st.lists(element, min_size=1,
+                           max_size=max(deg_c1, 1) if case == "short" else 5), label="P")
     if case == "multiple":
-        P = list((Poly(F, P) * Poly(F, c1)).coeffs)
+        P = list(reduce(Poly.__mul__, [Poly.linear(F, a) ** r for a, r in c1],
+                        Poly(F, P)).coeffs) or [0]
+    terms = list(enumerate(P))
     if case == "cancel":  # a term and its negative: zeros on top of P
-        P += [F.add(c, F.neg(c)) for c in data.draw(st.lists(element, min_size=1,
-                                                             max_size=3), label="top")]
-    d1 = data.draw(st.integers(-1, 6), label="d1")
-    cols = max(len(c1) - 1, len(P) - 1 - d1)
-    quot, rem = divmod(Poly(F, P), Poly(F, c1))
-    want = np.zeros(cols, dtype=np.int64)
-    want[:len(rem.coeffs)] = rem.coeffs
-    high = quot.coeffs[d1 + 1:]
-    want[len(c1) - 1:len(c1) - 1 + len(high)] = high
-    assert codes._residue(F, P, c1, d1, cols).tolist() == want.tolist()
-    if case == "multiple":
-        assert not want[:len(c1) - 1].any()
+        top = data.draw(st.integers(1, F.q - 1), label="top")
+        terms += [(len(P), top), (len(P), F.neg(top))]
+    L = D1 + c1  # a factor set naming alpha twice adds the powers: L / D_1 = c_1
+    D = data.draw(st.sampled_from([L, D1]), label="D") if case == "term" else L
+    if case == "term":  # j at an edge of a rule
+        edges = {deg_c1 - 1, deg_c1, deg_c1 + 1, d1, d1 + 1, d1 + 2} - {-1}
+        terms = [(data.draw(st.sampled_from(sorted(edges)), label="j"), P[0])]
+    row = tuple((c, BasisFunction(0, j, D)) for j, c in terms)
+    bases = [monomial_rows(0, D1, range(d1 + 1)) + [SpaceElement(row)]]
+    if case == "term":
+        bases.append(bases[0] + [SpaceElement(row + ((0, BasisFunction(0, 0, L)),))])
+    for basis in bases:
+        assert x_part_rank(f49, basis, fibers) \
+            == gf_rank(F, scalar_gen(F, basis, fibers.places))
 
 
 def test_eval_matrix_constants_row(f169):
@@ -752,9 +779,16 @@ def test_lcp_general_guards(f169, toy9):
         lcp_build_general(f169, InvariantTuple(0, (0, 0, 0, 0, 0)),
                           [0, 1, 2, 3], split)
     with pytest.raises(NotNonSpecial):
-        # passes the criterion but has nonzero coefficient at infinity
+        # fails the criterion (and has nonzero coefficient at infinity)
         lcp_build_general(f169, InvariantTuple(1, (0, 2, 3, 5, 1)),
                           [0, 1, 2, 3], split)
+    # the non-special tuples with n0 != 0 pass the criterion, then stop at
+    # the construction's coefficient 0 at infinity
+    tuples = [A for A in enumerate_nonspecial(f169) if A.n0]
+    assert len(tuples) == 72
+    for A in tuples:
+        with pytest.raises(NotNonSpecial, match="coefficient 0 at infinity"):
+            lcp_build_general(f169, A, [0, 1, 2, 3], split)
     for phi in ([0, 4], [9], []):   # lambda_4 = 2; out of range; empty
         with pytest.raises(RampPreconditionViolated):
             lcp_build_general(f169, InvariantTuple(0, (0, 2, 3, 6, 1)),

@@ -105,6 +105,13 @@ def test_construction_errors(gf49):
         make_curve(gf49, 4, [(0, 1), (49, 1)])
     with pytest.raises(NotAnElement):
         make_curve(gf49, 4, [(-1, 1), (1, 1)])
+    for field in (None, gf49):
+        with pytest.raises(GcdViolation, match="at least one branch point"):
+            make_curve(field, 4, [])
+    # a field of the wrong kind once raised TypeError, not a KummerError
+    for field in (7, (7, 2), "GF(49)", [7, 2]):
+        with pytest.raises(UsageError, match="FieldSpec or None"):
+            make_curve(field, 4, [(0, 1)])
 
 
 def test_place_lists_and_validation(ex37_curve, f49):
@@ -121,6 +128,15 @@ def test_place_lists_and_validation(ex37_curve, f49):
         f49.validate_place(Place("split", a=f49.alphas[0], y=0))
     with pytest.raises(InvalidPlace):
         f49.validate_place(Place("split", a=3, y=0))
+    # j past the d_inf places above infinity, or below 0; a kind of none
+    for curve in (ex37_curve, f49):
+        d_inf = len(curve.infinity_places())
+        curve.validate_place(Place("infinity", j=d_inf - 1))
+        for j in (d_inf, -1):
+            with pytest.raises(InvalidPlace, match="invalid infinite place"):
+                curve.validate_place(Place("infinity", j=j))
+        with pytest.raises(InvalidPlace, match="unknown place kind 'bogus'"):
+            curve.validate_place(Place("bogus", j=0))
 
 
 def test_conjugate_labels_are_roots(f49):
@@ -538,10 +554,11 @@ def test_integer_parameters_are_integers(f49, entry):
     # make_curve(F, 4.5, [(0, 1), (3, 1.5)]) once built y^4 = x (x - 3)
     # with lambda = (1, 1); a float equal to an integer, a bool, a string
     # or None is no integer either (make_field(7.0, 2) once hit the cache
-    # entry of GF(49))
+    # entry of GF(49)), nor a list (make_field([7], 2) once raised
+    # TypeError in the cache)
     call, good = INTEGER_ENTRY_POINTS[entry]
     for bad in (4.5, float(good), np.float64(good), True, np.bool_(True), str(good),
-                None):
+                None, [good]):
         with pytest.raises(NotAnInteger):
             call(f49.field, bad)
     # numpy integers are integers like Python ints

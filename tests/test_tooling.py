@@ -189,12 +189,12 @@ def test_bench_dickson103_op_ranks_by_residue(monkeypatch):
 ])
 def test_bench_op_ranks_without_poly_division(name, ranks, divided, monkeypatch):
     # x_part_rank (both codes and their stack, per pair) sets its residue
-    # blocks by index: it divides no Poly, and only two catalog rows, over a
-    # factor set that is neither side 1's nor L, go through _residue
+    # blocks by index: only two catalog rows, over a factor set that is
+    # neither side 1's nor L, are divided as a Poly
     stagetrace, workloads = _bench_modules()
     wl = workloads.WORKLOADS[name]
     inputs = wl.setup(1)
-    inside, calls = [], {"x_part_rank": 0, "_residue": 0, "divmod": 0}
+    inside, calls = [], {"x_part_rank": 0, "divmod": 0}
 
     def counted(name, function):
         def call(*args):
@@ -207,11 +207,10 @@ def test_bench_op_ranks_without_poly_division(name, ranks, divided, monkeypatch)
         return call
 
     monkeypatch.setattr(codes, "x_part_rank", counted("x_part_rank", codes.x_part_rank))
-    monkeypatch.setattr(codes, "_residue", counted("_residue", codes._residue))
     monkeypatch.setattr(Poly, "__divmod__", counted("divmod", Poly.__divmod__))
     out = wl.op(inputs, 0)
     assert wl.check(inputs, 0, out) is None
-    assert calls == {"x_part_rank": ranks, "_residue": divided, "divmod": 0}
+    assert calls == {"x_part_rank": ranks, "divmod": divided}
 
 
 def _declared_requirements():
