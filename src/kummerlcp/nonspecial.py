@@ -7,13 +7,14 @@ the lambda patterns (1,...,1), (1,...,1,m/2), (1,...,1,m/2,m/2) and
 (1,...,1,2).
 
 The criterion depends on the curve only through the residues j * lambda_i
-mod m (j = 1..m-1): one (m-1) x r table of them gives every bound B(n0, j)
-and every overflow set C(n0, j); it is built once per (m, lambdas) and
-cached.  The scalar check reads all rows of that table at once.  The bulk check covers the whole box, n0 included, in one
-call: the counts |C(n0, j)| do not depend on n0, so it sums them once per
-curve and compares them with each n0's bounds, one slice per index of the
-leading axes when the box is large.  Enumeration reads its tuples off that
-one verdict array.
+mod m (j = 1..m-1): one table of them, built once per (m, lambdas) and
+cached, gives every bound B(n0, j) and every overflow set C(n0, j).  The
+scalar check reads all rows of that table at once.  The bulk check covers
+the whole box, n0 included, in one call: the counts |C(n0, j)| do not
+depend on n0, so it packs them one digit per j into integer words, sums
+those once per curve and decides each n0 with a few whole-word operations,
+one slice per index of the leading axes when the box is large.
+Enumeration reads its tuples off that one verdict array.
 
 Everything here is purely combinatorial in (m, lambda_1, ..., lambda_r);
 abstract curves are accepted everywhere.
@@ -22,9 +23,11 @@ abstract curves are accepted everywhere.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +44,9 @@ from .errors import (
 )
 
 DEFAULT_SEARCH_CAP = 10**8
-#: values (m-1 per tuple) that bulk_verdicts holds at once before slicing
-_BULK_CELL_LIMIT = 1 << 22
+#: bytes of packed counts that bulk_verdicts holds at once before slicing;
+#: a slice also holds a scratch copy of them
+_BULK_BYTE_LIMIT = 1 << 19
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -50,18 +54,16 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class _Residues(NamedTuple):
-    table: np.ndarray  # (m-1) x r, read-only
-    sums: tuple        # its row sums, as ints
+    rows: tuple  # rows[i][j-1] = j * lambda_i mod m, in [1, m]: a zero residue reads m
+    sums: tuple  # sum_i rows[i][j-1] for j = 1..m-1
 
 
 @lru_cache(maxsize=256)
 def _residues(m: int, lambdas: tuple) -> _Residues:
-    """The (m-1) x r table of j * lambda_i mod m, row j-1 for j = 1..m-1,
-    with each residue taken in [1, m]: a zero residue reads m.  One cached
-    table per curve shape, so it is read-only."""
-    table = (np.outer(np.arange(1, m), lambdas) - 1) % m + 1
-    table.flags.writeable = False
-    return _Residues(table, tuple(table.sum(axis=1).tolist()))
+    """The residues of one curve shape and their sums over i, as Python
+    ints.  One cached table per curve shape, linear in m."""
+    table = (np.outer(lambdas, np.arange(1, m)) - 1) % m + 1
+    return _Residues(tuple(table.tolist()), tuple(table.sum(axis=0).tolist()))
 
 
 def _bounds(curve: KummerCurve, n0: int, res: _Residues) -> list[int]:
@@ -74,15 +76,13 @@ def _bounds(curve: KummerCurve, n0: int, res: _Residues) -> list[int]:
     return [curve.r - 1 - (s + shift) // curve.m for s in res.sums]
 
 
-def _overflows(curve: KummerCurve, n, res: _Residues) -> np.ndarray:
-    """Boolean (m-1) x r table: i lies in C(n0, j) iff n_i d_i >= res_ji,
-    where a zero residue (read as m) lies in no C."""
+def _reach(curve: KummerCurve, n) -> list[int]:
+    """n_i d_i clipped to [0, m-1]: i lies in C(n0, j) iff res_ji <= n_i d_i,
+    and a zero residue, read as m, lies in no C.  The clip keeps that exact
+    for an int of any size or sign."""
     if len(n) != curve.r:
         raise LengthMismatch("tuple length does not match curve")
-    # clipping n_i d_i to [0, m-1] keeps every comparison with a residue
-    # in [1, m] and lets an int of any size or sign into the array
-    return res.table <= [min(max(ni * di, 0), curve.m - 1)
-                         for ni, di in zip(n, curve.ram.d)]
+    return [min(max(ni * di, 0), curve.m - 1) for ni, di in zip(n, curve.ram.d)]
 
 
 def _row(curve: KummerCurve, j: int) -> int:
@@ -99,8 +99,9 @@ def bound_B(curve: KummerCurve, n0: int, j: int) -> int:
 def overflow_set(curve: KummerCurve, tup: InvariantTuple, j: int) -> list[int]:
     """C(n0, j): indices i with n_i * d_i >= (j * lambda_i mod m) > 0."""
     row = _row(curve, j)
-    overflows = _overflows(curve, tup.n, _residues(curve.m, curve.lambdas))
-    return np.flatnonzero(overflows[row]).tolist()
+    rows = _residues(curve.m, curve.lambdas).rows
+    return [i for i, (xs, reach) in enumerate(zip(rows, _reach(curve, tup.n)))
+            if xs[row] <= reach]
 
 
 @dataclass
@@ -139,14 +140,16 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
     if mode not in ("cond2", "cond3"):
         raise RegimeViolation(f"unknown mode {mode!r}")
     res = _residues(curve.m, curve.lambdas)
-    counts = _overflows(curve, tup.n, res).sum(axis=1).tolist()
+    reach = _reach(curve, tup.n)
+    counts = [sum(map(operator.le, col, reach)) for col in zip(*res.rows)]
     ram = curve.ram
-    bounds_ok = (tup.is_effective() and tup.n0 < ram.e_inf
-                 and all(ni < ei for ni, ei in zip(tup.n, ram.e)))
+    bounds_ok = (0 <= tup.n0 < ram.e_inf
+                 and all(0 <= ni < ei for ni, ei in zip(tup.n, ram.e)))
     degree = tup.degree(curve)
-    rows = [(j, b, c, c <= b if mode == "cond2" else c == b)
-            for j, (b, c) in enumerate(zip(_bounds(curve, tup.n0, res), counts), 1)]
-    ok = bounds_ok and all(row_ok for *_, row_ok in rows)
+    bounds = _bounds(curve, tup.n0, res)
+    holds = list(map(operator.le if mode == "cond2" else operator.eq, counts, bounds))
+    rows = list(zip(range(1, curve.m), bounds, counts, holds))
+    ok = bounds_ok and all(holds)
     if mode == "cond2":
         ok = ok and degree == curve.genus
     verdict = "nonspecial_deg_g" if ok else "fails"
@@ -157,6 +160,17 @@ def criterion_check(curve: KummerCurve, tup: InvariantTuple,
 # Bulk evaluation over the whole bounded coefficient box
 # ---------------------------------------------------------------------------
 
+def _word_layout(m: int, r: int) -> tuple[np.dtype, range]:
+    """The dtype of bulk_verdicts' packed counts and the shift of each word:
+    all m-1 digits of w bits below the sign bit of the narrowest signed dtype
+    that holds them, else floor(63 / w) digits per int64 word."""
+    w = r.bit_length() + 1
+    for dtype in map(np.dtype, (np.int8, np.int16, np.int32, np.int64)):
+        if (m - 1) * w < 8 * dtype.itemsize:
+            return dtype, range(0, (m - 1) * w, (m - 1) * w)
+    return dtype, range(0, (m - 1) * w, 63 // w * w)
+
+
 def bulk_verdicts(curve: KummerCurve):
     """Criterion verdicts for every tuple of the search box.
 
@@ -165,43 +179,89 @@ def bulk_verdicts(curve: KummerCurve):
     coefficient bounds hold automatically inside the box, so cond2 here is
     degree == g plus all counts <= bounds, and cond3 is all counts == bounds.
 
-    The counts |C(j)| depend on n_1..n_r alone, so those of all j are summed
-    once, in int8, and then shifted in place from one n0 to the next by the
-    change of the bounds B(n0, j).  The excess |C| - B lies in [-r-1, r+1],
-    and r <= 64, numpy's limit on axes.  While the m-1 counts per tuple of
-    the remaining axes exceed _BULK_CELL_LIMIT, one more leading axis of
-    n_1..n_r is fixed and walked index by index.
+    The counts |C(j)| depend on n_1..n_r alone, so they are summed once, as
+    packed words, and each n0 is decided with whole-word operations.  Digit
+    j-1 of the sum, w = r.bit_length() + 1 bits wide, is a count c in
+    [0, r], below its guard bit 2^(w-1).  Inside the box every
+    bound B lies in [-1, r-1]: row j's residue sum lies in [r, rm - 1],
+    because gcd(m, lambdas) = 1, and n0 d_inf < m.  So:
+
+    - cond3 compares the counts with the packed bounds.  The lowest digit
+      with a bound of -1 packs as 2^w - 1, borrowing from the digits above
+      it, and no count reaches 2^w - 1.
+    - cond2 adds the word whose digits are 2^(w-1) - 1 - B.  Each digit sum
+      c + 2^(w-1) - 1 - B lies in [2^(w-1) - r, 2^(w-1) + r], inside
+      [0, 2^w), so no carry crosses a digit, and its guard bit is set iff
+      c > B.  cond2 is no guard bit set, plus the degree test.
+
+    The digits fill one word of the narrowest signed dtype that holds them,
+    or several int64 words.  While the packed counts of the remaining axes
+    exceed _BULK_BYTE_LIMIT bytes, one more leading axis of n_1..n_r is
+    fixed and walked index by index.
     """
     m, r, ram = curve.m, curve.r, curve.ram
-    res = _residues(curve.m, curve.lambdas)
-    # hit[i][j-1, v] = 1 iff n_i = v puts i in C(j)
-    hit = [(res.table[:, i, None] <= np.arange(e) * d).astype(np.int8)
-           for i, (e, d) in enumerate(zip(ram.e, ram.d))]
-    # counts lie in [0, r], so clipping B to [-1, r + 1] keeps == and <=
-    bounds = np.array([[min(max(b, -1), r + 1) for b in _bounds(curve, n0, res)]
-                       for n0 in range(ram.e_inf)], dtype=np.int8)
-    steps = np.diff(bounds, axis=0, prepend=np.int8(0))
+    res = _residues(m, curve.lambdas)
+    w = r.bit_length() + 1
+    dtype, shifts = _word_layout(m, r)
+
+    def words(xs) -> np.ndarray:
+        """Packed Python ints as an array of words, word k first."""
+        return np.array([[x >> s & ((1 << shifts.step) - 1) for x in xs]
+                         for s in shifts], dtype)
+
+    digits = range(0, (m - 1) * w, w)
+
+    def prefix(xs, e: int, d: int) -> list:
+        """Entry v of an axis: digit j-1 is 1 iff n_i = v puts i in C(j),
+        that is iff res_ji <= v d_i.  The residues are multiples of d_i."""
+        steps = [0] * (e + 1)  # steps[k]: the digits of the residue k d_i
+        for t, x in zip(digits, xs):
+            steps[x // d] += 1 << t
+        return list(accumulate(steps[1:-1], initial=0))
+
+    guards = dtype.type(sum(1 << (t + w - 1) for t in range(0, shifts.step, w)))
+    target = [sum(b << t for t, b in zip(digits, _bounds(curve, n0, res)))
+              for n0 in range(ram.e_inf)]
+    fill = sum(((1 << (w - 1)) - 1) << t for t in digits)
+    excess = [fill - packed for packed in target]  # digits 2^(w-1) - 1 - B
     lead = 0
-    while lead < r - 1 and (m - 1) * math.prod(ram.e[lead:]) > _BULK_CELL_LIMIT:
+    while lead < r - 1 and (len(shifts) * dtype.itemsize * math.prod(ram.e[lead:])
+                            > _BULK_BYTE_LIMIT):
         lead += 1
-    grid = np.ix_(*(range(e) for e in ram.e[lead:]))
-    tail_deg = sum(g * d for g, d in zip(grid, ram.d[lead:]))
-    column = (m - 1,) + (1,) * (r - lead)
+    tail = ram.e[lead:]
+    shapes = [tuple(e if a == b else 1 for b in range(len(tail)))
+              for a, e in enumerate(tail)]
+    # word k of the counts that n_i = v adds, at [k, v] or, on a tail axis,
+    # at [k, 1, ..., v, ..., 1]
+    axes = dict(zip(curve.lambdas, zip(res.rows, ram.e, ram.d)))
+    hit = {lam: words(prefix(*axis)) for lam, axis in axes.items()}
+    hit = [hit[lam] for lam in curve.lambdas[:lead]] + [
+        hit[lam].reshape((-1,) + sh) for lam, sh in zip(curve.lambdas[lead:], shapes)]
+    # every degree and degree target lies in (-r * m, r * m)
+    deg_type = np.min_scalar_type(-r * m)
+    tail_deg = sum(np.arange(e, dtype=deg_type).reshape(sh) * d
+                   for e, sh, d in zip(tail, shapes, ram.d[lead:]))
+    target = words(target).reshape((len(shifts), -1) + (1,) * len(tail))
+    excess = words(excess).T
+    scratch = np.empty(tail, dtype)
+    ok = np.empty(tail, bool)
     cond2 = np.empty((ram.e_inf,) + ram.e, dtype=bool)
     cond3 = np.empty_like(cond2)
     for idx in np.ndindex(*ram.e[:lead]):
-        start = sum((h[:, v] for h, v in zip(hit, idx)),
-                    np.zeros(m - 1, dtype=np.int8)).reshape(column)
+        start = sum((h[:, v] for h, v in zip(hit, idx)), np.zeros(len(shifts), dtype))
         # last axis first, so that each sum adds its axis in long runs
-        excess = sum(reversed([h[:, g] for h, g in zip(hit[lead:], grid)]), start)
+        counts = sum(reversed(hit[lead:]), start.reshape((-1,) + (1,) * len(tail)))
         deg = curve.genus - sum(v * d for v, d in zip(idx, ram.d))
-        for n0, step in enumerate(steps):
-            excess -= step.reshape(column)
-            # folding whole rows is several times faster than numpy's
-            # element-wise reduction over a short leading axis
-            cond2[(n0,) + idx] = ((reduce(np.maximum, excess) <= 0)
-                                  & (tail_deg == deg - n0 * ram.d_inf))
-            cond3[(n0,) + idx] = reduce(np.bitwise_or, excess) == 0
+        c2, c3 = cond2[(slice(None),) + idx], cond3[(slice(None),) + idx]
+        np.equal(tail_deg, np.arange(deg, deg - m, -ram.d_inf, deg_type)
+                 .reshape((-1,) + (1,) * len(tail)), out=c2)
+        np.equal(counts[0], target[0], out=c3)
+        for word, t in zip(counts[1:], target[1:]):
+            c3 &= word == t
+        for row, adds in zip(c2, excess):
+            for word, x in zip(counts, adds):
+                np.bitwise_and(np.add(word, x, out=scratch), guards, out=scratch)
+                row &= np.equal(scratch, 0, out=ok)
     return cond2, cond3
 
 
@@ -232,15 +292,18 @@ def enumerate_nonspecial(curve: KummerCurve,
     cap = search_cap()
     if space > cap:
         raise SearchSpaceTooLarge(f"search space {space} exceeds cap {cap}")
-    # rows (n0, n_1, ..., n_r), in C order and so lexicographic
-    rows = np.argwhere(bulk_verdicts(curve)[1])
+    cond3 = bulk_verdicts(curve)[1]
+    # rows (n0, n_1, ..., n_r), in C order and so lexicographic; the flat
+    # indices come several times faster than argwhere's
+    rows = np.column_stack(np.unravel_index(np.flatnonzero(cond3), cond3.shape))
     if dedup:
         lambdas = np.array(curve.lambdas)
         for lam in set(curve.lambdas):
             cols = 1 + np.flatnonzero(lambdas == lam)
             rows[:, cols] = np.sort(rows[:, cols], axis=1)
-        rows = np.unique(rows, axis=0)
-    return [InvariantTuple(n0, tuple(n)) for n0, *n in rows.tolist()]
+    keys = map(tuple, rows.tolist())
+    return [InvariantTuple(n0, tuple(n))
+            for n0, *n in (sorted(set(keys)) if dedup else keys)]
 
 
 # ---------------------------------------------------------------------------

@@ -126,12 +126,13 @@ def test_modes_agree_and_match_dimension_oracle(monkeypatch):
     for c in random_curves(2024, 40):
         cond2, cond3 = bulk_verdicts(c)
         assert cond3.shape == (c.ram.e_inf,) + c.ram.e
-        # no box here reaches the default cell limit, so only a smaller
-        # limit walks leading axes: (m-1) * prod(e[k:]) walks exactly k
-        # of them, for every depth k = 0..r-1
+        # no box here reaches the default limit, so only a smaller limit
+        # walks leading axes: the bytes of the packed words of the tuples
+        # of e[k:] walk exactly k of them, for every depth k = 0..r-1
+        dtype, shifts = nonspecial._word_layout(c.m, c.r)
         for k in range(c.r):
-            monkeypatch.setattr(nonspecial, "_BULK_CELL_LIMIT",
-                                (c.m - 1) * math.prod(c.ram.e[k:]))
+            monkeypatch.setattr(nonspecial, "_BULK_BYTE_LIMIT",
+                                dtype.itemsize * len(shifts) * math.prod(c.ram.e[k:]))
             split2, split3 = bulk_verdicts(c)
             assert np.array_equal(split2, cond2)
             assert np.array_equal(split3, cond3)
@@ -148,10 +149,10 @@ def test_modes_agree_and_match_dimension_oracle(monkeypatch):
             assert np.array_equal(cond3[n0], oracle)
 
 
-def curves_with_r(min_r):
-    """Abstract curves y^m = prod (x - alpha_i)^lambda_i, m in 2..12, r in
+def curves_with_r(min_r, max_m=12):
+    """Abstract curves y^m = prod (x - alpha_i)^lambda_i, m in 2..max_m, r in
     min_r..5, with gcd(m, lambda_1, ..., lambda_r) = 1."""
-    return st.integers(2, 12).flatmap(
+    return st.integers(2, max_m).flatmap(
         lambda m: st.lists(st.integers(1, m - 1), min_size=min_r, max_size=5)
         .filter(lambda lambdas: math.gcd(m, *lambdas) == 1)
         .map(lambda lambdas: make_curve(None, m, lambdas)))
@@ -198,7 +199,7 @@ coefficients = st.integers(-3, 14) | st.integers(-2**70, 2**70)
 
 
 @settings(max_examples=200, **PROPERTY_SETTINGS)
-@given(c=curves_with_r(1), data=st.data())
+@given(c=curves_with_r(1, max_m=70), data=st.data())
 def test_criterion_rows_match_per_j_oracle(c, data):
     # the residue table gives the same bounds, overflow sets and report rows
     # as the per-j formulas, as exact Python ints for any coefficient size
@@ -220,6 +221,71 @@ def test_criterion_rows_match_per_j_oracle(c, data):
             bound_B(c, tup.n0, j)
         with pytest.raises(JOutOfRange):
             overflow_set(c, tup, j)
+
+
+def small_box_curve(m, r, rng):
+    """Of 300 drawn curves with r branch points, one with the smallest box:
+    all lambdas but the last share a factor with m where m allows it."""
+    pool = [lam for lam in range(1, m) if math.gcd(m, lam) > 1] or [1]
+    best = None
+    for _ in range(300):
+        lambdas = [rng.choice(pool) for _ in range(r - 1)] + [rng.randrange(1, m)]
+        if math.gcd(m, *lambdas) == 1:
+            c = make_curve(None, m, lambdas)
+            box = c.ram.e_inf * math.prod(c.ram.e)
+            if best is None or box < best[0]:
+                best = (box, c)
+    return best
+
+
+#: (m, r) where the packed counts change shape: r = 1, 3, 4, 7, 8 take
+#: digits of w = 2, 3, 4, 4, 5 bits, and m - 1 lies just below, at and just
+#: past the floor(63 / w) digits of one int64 word, and at and just past the
+#: digits that fit int8, int16 and int32
+WORD_BOUNDARIES = sorted(
+    {(bits // (r.bit_length() + 1) + 1 + step, r)
+     for r in (1, 3, 4, 7, 8) for bits in (7, 15, 31, 63)
+     for step in ((-1, 0, 1) if bits == 63 else (0, 1))} - {(1, 8)})
+
+
+@pytest.mark.parametrize("m, r", WORD_BOUNDARIES)
+def test_word_and_digit_boundaries(m, r, monkeypatch):
+    # the scalar rows match the per-j formulas, for coefficients in the box
+    # and of +-2^70; where the box is small enough, the bulk modes agree
+    # with each other and with the dimension oracle at every slicing depth
+    rng = random.Random(m * 100 + r)
+    box, c = small_box_curve(m, r, rng)
+    w = r.bit_length() + 1
+    dtype, shifts = nonspecial._word_layout(m, r)
+    assert len(shifts) == (2 if m - 1 > 63 // w else 1)
+    tuples = [InvariantTuple(0, (0,) * r),
+              InvariantTuple(rng.randrange(c.ram.e_inf),
+                             tuple(rng.randrange(e) for e in c.ram.e)),
+              InvariantTuple(rng.choice([-2**70, 2**70]),
+                             tuple(rng.choice([-2**70, 2**70, 1]) for _ in range(r)))]
+    for tup in tuples:
+        expected = [(j, oracle_bound(c, tup.n0, j), len(oracle_overflow(c, tup, j)))
+                    for j in range(1, m)]
+        for mode, holds in (("cond2", int.__le__), ("cond3", int.__eq__)):
+            assert criterion_check(c, tup, mode=mode).rows \
+                == [(j, b, n, holds(n, b)) for j, b, n in expected]
+        for j in range(1, m):
+            assert overflow_set(c, tup, j) == oracle_overflow(c, tup, j)
+    if box > 10**5:
+        return  # a prime m with r >= 7: every e_i is m
+    cond2, cond3 = bulk_verdicts(c)
+    assert np.array_equal(cond2, cond3)
+    for k in range(r):
+        monkeypatch.setattr(nonspecial, "_BULK_BYTE_LIMIT",
+                            dtype.itemsize * len(shifts) * math.prod(c.ram.e[k:]))
+        split2, split3 = bulk_verdicts(c)
+        assert np.array_equal(split2, cond2) and np.array_equal(split3, cond3)
+    for n0 in range(c.ram.e_inf):
+        deg = n0 * c.ram.d_inf + sum(
+            np.arange(e).reshape([e if a == i else 1 for a in range(r)]) * d
+            for i, (e, d) in enumerate(zip(c.ram.e, c.ram.d)))
+        oracle = (deg == c.genus) & (ell_invariant_bulk(c, n0) == 1)
+        assert np.array_equal(cond3[n0], oracle)
 
 
 def test_criterion_permutation_symmetry(ex37_curve):
