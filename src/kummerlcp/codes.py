@@ -36,8 +36,10 @@ eval_matrix (entry [i, t * T + j] = b_t(xs[j])) times a block-diagonal of
 invertible Vandermonde matrices V_a[t, j] = y_j^t, and has the rank of R.
 x_part_rank ranks R in one pass over the weights of the basis, by counts
 and one residue matrix; its docstring gives the argument.  Dense gf_rank
-of a whole generator matrix is the test oracle.  A code stores no matrix:
-LinearCode.gen() evaluates on demand.
+of a whole generator matrix is the test oracle, and gf_rank of eval_matrix
+is x_part_rank's fallback for a basis its residues cannot rank, which no
+pair's stacked bases are.  A code stores no matrix: LinearCode.gen()
+evaluates on demand.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from .errors import (
     UnsupportedRoot,
     UnsupportedShape,
 )
-from .ffield import FieldSpec, Poly
+from .ffield import FieldSpec, Poly, _integer
 from .nonspecial import (
     coeffs_half_double,
     coeffs_half_single,
@@ -537,29 +539,61 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     its own gf_rank).  It adds T, and every other part at that weight
     drops out.
 
-    A numerator factor (r < 0), a negative power of x, or an unsaturated
-    weight of degree >= T makes the weight evaluated: every row with a part
-    there, side 1 included, gets that part's T values (one eval_matrix
-    call on the weight-w parts alone) as its column block, and the weight
-    adds no count.
+    A basis the residues cannot rank goes to the oracle, gf_rank of
+    eval_matrix of the whole basis: one with a numerator factor (r < 0) or
+    a negative power of x, or with an unsaturated weight where a polynomial
+    reaches degree T.
 
-    No code's rr_basis evaluates a weight.  It is one run x^j / D, j = 0..d,
+    No code's rr_basis reaches the oracle.  It is one run x^j / D, j = 0..d,
     per weight, with factors r > 0 and powers j >= 0, and for delta = 1 at
     most one joined row per weight: the functional takes only a summand's
     top term x^(d+1) / D off its run (the valuation at Q_infinity falls as
     j grows, so only the top term can reach -n_0).  So at each weight
     L = D and c_1 = 1, and either d + 1 >= T saturates the weight, or every
     polynomial at it has degree <= d + 1 < T.  No bound on deg G is needed.
-    Stacks of two codes' bases, and other hand-built rows, may still
-    evaluate a weight.  A list of rows is read as Basis.of reads it: runs
-    where rows x^0 / D, x^1 / D, ... follow one another, single rows
-    elsewhere.
+
+    Nor does the stack C.basis + E.basis of a pair that lcp_build_general
+    builds: A is non-special of degree g with n_0 = 0 and 0 <= n_i < e_i,
+    and Phi holds totally ramified branches.  Let N = s |Phi|.
+      * In the floors of _restricted_summand, r_i = (n_i d_i + w lambda_i)
+        // m grows by s at each i in Phi (d_i = 1, n_i grows by s m), and
+        the degree of G's runs exceeds A's by T - N.  So with x^j / D_w,
+        j <= a_w, the weight-w run of L(A), C's rows at w are x^j / D_w,
+        j <= a_w + T - N, and E's are x^j / (D_w phi^s), j <= a_w + N,
+        where phi = prod_{i in Phi} (x - alpha_i): L(H) is phi^(-s) times
+        L(A - Q_inf + N div_inf(x)).
+      * a_0 = 0 and D_0 = 1 (n_0 = 0 and n_i d_i < m), and l(A) = 1 is the
+        sum of a_w + 1 over the runs, so a_w < 0 for w >= 1.
+      * At weight 0, C's top term x^(T - N) and E's x^N / phi^s have
+        valuation exactly minus their coefficient at Q_inf, (T - N) e_inf
+        and 0, so the functional gives each the value omega^0 = 1: weight 0
+        is the pivot, and its top term is left only in joined rows.  Where
+        d_inf = 1, divisor_shape folds G's -Q_inf into n_0 instead, and C's
+        run stops at j = T - N - 1 all the same.
+      * s <= last gives s m |Phi| < mT - g + 1.  For g >= 1, s >= 1, so
+        1 <= N < T.  For g = 0, N = 0 or N = T leaves E or C with k = 0 and
+        no rows, so the stack is one code's basis; any other N is as above.
+    Every factor set at weight w divides D_w phi^s, so L / D has degree at
+    most N on C's parts and 0 on E's, and d_1 + cols, at most the highest
+    degree at w, stays below T at every w >= 1: C's parts have degree
+    <= a_w + T < T, and E's <= a_w + N < T.  At weight 0 every part has
+    degree < T except the pivot's top in C's joined rows, of degree T.
+    There side 1 is C's run (T - N rows, n_1 = T - 1 > N - 1), c_1 = phi^s
+    has degree N, and E's rows x^j, j < N, are N unit residues (the second
+    rule): the T - N + N single-weight rows saturate weight 0.  So only
+    hand-built bases reach the oracle.  A list of rows is read as Basis.of
+    reads it: runs where rows x^0 / D, x^1 / D, ... follow one another,
+    single rows elsewhere.
     """
     field = curve.field
     xs = _require_fibers(curve, fibers).xs
     basis = Basis.of(basis)
-    _check_terms(basis, xs, curve.m)
+    sets = _check_terms(basis, xs, curve.m)
     T = len(xs)
+    if any(r < 0 for f in sets for r in _exponents(f).values()) or any(
+            bf.xpow < 0 for p in basis.pieces if not isinstance(p, Run)
+            for _, bf in p.terms):  # not a polynomial over a denominator
+        return gf_rank(field, eval_matrix(curve, basis, fibers))
     # weight -> {D: [(first row, d)]} of the runs x^j / D, j = 0..d, and
     # weight -> {row: [(c, j, D)]} of the other rows' terms there, in basis order
     runs, rest, joined = {}, {}, set()
@@ -591,63 +625,52 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
             if d + deg[f] > n1:
                 side, d1, n1 = f, d, d + deg[f]
         other = [(k, d, f) for f, rs in groups.items() if f != side for k, d in rs]
-        evaluate = any(r < 0 for exps in powers.values() for r in exps.values()) or \
-            any(j < 0 for terms in terms_at.values() for _, j, _ in terms)
-        if not evaluate:
-            ids = list(terms_at) + [k + j for k, d, _ in other for j in range(d + 1)]
-            if d1 + 1 >= T or not ids:  # saturated, or side 1 alone (L = D_1)
-                rank += min(d1 + 1, T)
+        ids = list(terms_at) + [k + j for k, d, _ in other for j in range(d + 1)]
+        if d1 + 1 >= T or not ids:  # saturated, or side 1 alone (L = D_1)
+            rank += min(d1 + 1, T)
+            continue
+        c1, e1 = ratio.get(side, {}), n1 - d1  # c_1 = L / D_1 (1 if no side 1)
+        top_degree = max([n1] + [d + deg[f] for _, d, f in other] + [
+            j + deg[f] for terms in terms_at.values() for _, j, f in terms])
+        R = np.zeros((len(ids), top_degree - d1), dtype=np.int64)
+        at = {k: i for i, k in enumerate(ids)}
+        divide = [(at[k], terms) for k, terms in terms_at.items() if len(terms) > 1]
+        # spans c x^j L / D, j = j0..j0 + n - 1, from row i of R
+        spans = [(at[k], *terms[0], 1) for k, terms in terms_at.items()
+                 if len(terms) == 1] + [(at[k], 1, 0, f, d + 1) for k, d, f in other]
+        for i, c, j0, f, n in spans:  # x^j c_1 with j <= d_1 is 0: skipped
+            for j in range(max(j0, d1 + 1) if ratio[f] == c1 else j0, j0 + n):
+                if ratio[f] == c1:  # x^j c_1: c at quotient degree j
+                    R[i + j - j0, j - d1 - 1 + e1] = c
+                elif not ratio[f] and j < e1:  # x^j, j < deg c_1: itself
+                    R[i + j - j0, j] = c
+                else:
+                    divide.append((i + j - j0, [(c, j, f)]))
+
+        def poly(c, j, exps):  # c x^j prod (x - alpha)^e
+            return math.prod((Poly.linear(field, a) for a, e in exps.items()
+                              for _ in range(e)), start=Poly(field, [0] * j + [c]))
+
+        for i, terms in divide:  # P = sum c x^j L / D, then P divmod c_1
+            P = sum((poly(c, j, ratio[f]) for c, j, f in terms), Poly(field, []))
+            quot, rem = divmod(P, poly(1, 0, c1))
+            high = quot.coeffs[d1 + 1:]  # the quotient in degrees > d_1
+            R[i, :len(rem.coeffs)], R[i, e1:e1 + len(high)] = rem.coeffs, high
+
+        def cols(rows):  # n - d1, n the highest degree of side 1 and rows
+            hit = np.flatnonzero(rows.any(axis=0))
+            return max(e1, hit[-1] + 1) if hit.size else e1
+
+        if d1 + cols(R) >= T:  # a polynomial reaches degree T
+            local = R[[k not in joined for k in ids]]
+            local = local[:, :cols(local)]  # if empty, it adds 0 < T - d1 - 1
+            if d1 + local.shape[1] < T and local.size and \
+                    d1 + 1 + gf_rank(field, local) == T:
+                rank += T
                 continue
-            c1, e1 = ratio.get(side, {}), n1 - d1  # c_1 = L / D_1 (1 if no side 1)
-            top_degree = max([n1] + [d + deg[f] for _, d, f in other] + [
-                j + deg[f] for terms in terms_at.values() for _, j, f in terms])
-            R = np.zeros((len(ids), top_degree - d1), dtype=np.int64)
-            at = {k: i for i, k in enumerate(ids)}
-            divide = [(at[k], terms) for k, terms in terms_at.items() if len(terms) > 1]
-            # spans c x^j L / D, j = j0..j0 + n - 1, from row i of R
-            spans = [(at[k], *terms[0], 1) for k, terms in terms_at.items()
-                     if len(terms) == 1] + [(at[k], 1, 0, f, d + 1) for k, d, f in other]
-            for i, c, j0, f, n in spans:  # x^j c_1 with j <= d_1 is 0: skipped
-                for j in range(max(j0, d1 + 1) if ratio[f] == c1 else j0, j0 + n):
-                    if ratio[f] == c1:  # x^j c_1: c at quotient degree j
-                        R[i + j - j0, j - d1 - 1 + e1] = c
-                    elif not ratio[f] and j < e1:  # x^j, j < deg c_1: itself
-                        R[i + j - j0, j] = c
-                    else:
-                        divide.append((i + j - j0, [(c, j, f)]))
-
-            def poly(c, j, exps):  # c x^j prod (x - alpha)^e
-                return math.prod((Poly.linear(field, a) for a, e in exps.items()
-                                  for _ in range(e)), start=Poly(field, [0] * j + [c]))
-
-            for i, terms in divide:  # P = sum c x^j L / D, then P divmod c_1
-                P = sum((poly(c, j, ratio[f]) for c, j, f in terms), Poly(field, []))
-                quot, rem = divmod(P, poly(1, 0, c1))
-                high = quot.coeffs[d1 + 1:]  # the quotient in degrees > d_1
-                R[i, :len(rem.coeffs)], R[i, e1:e1 + len(high)] = rem.coeffs, high
-
-            def cols(rows):  # n - d1, n the highest degree of side 1 and rows
-                hit = np.flatnonzero(rows.any(axis=0))
-                return max(e1, hit[-1] + 1) if hit.size else e1
-
-            if d1 + cols(R) < T:
-                rank += d1 + 1
-                block = R[:, :cols(R)]
-            else:
-                local = R[[k not in joined for k in ids]]
-                local = local[:, :cols(local)]  # if empty, it adds 0 < T - d1 - 1
-                if d1 + local.shape[1] < T and local.size and \
-                        d1 + 1 + gf_rank(field, local) == T:
-                    rank += T
-                    continue
-                evaluate = True
-        if evaluate:  # every row's terms at w, in basis order
-            rows = sorted([(k + j, [(1, j, f)]) for f, rs in groups.items() for k, d in rs
-                           for j in range(d + 1)] + list(terms_at.items()))
-            ids = [k for k, _ in rows]
-            block = eval_matrix(curve, [SpaceElement(tuple(
-                (c, BasisFunction(w, j, f)) for c, j, f in terms)) for _, terms in rows],
-                fibers)[:, w * T:(w + 1) * T]
+            return gf_rank(field, eval_matrix(curve, basis, fibers))
+        rank += d1 + 1
+        block = R[:, :cols(R)]
         for k in ids:
             index.setdefault(k, len(index))
         blocks.append((ids, width, block))
@@ -853,7 +876,8 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
     H = A - Q_inf + s * div_0(prod_{i in phi} (x - alpha_i)),
     evaluated at the places above the given completely split x-values.
     """
-    phi_indices = sorted(set(int(i) for i in phi_indices))
+    phi_indices = sorted({_integer(i, "Phi index") for i in phi_indices})
+    s = s if s is None else _integer(s, "s")
     report = criterion_check(curve, A, mode="cond3")
     if not report.passed:
         raise NotNonSpecial(f"tuple {A} is not non-special of degree g")

@@ -300,12 +300,17 @@ def make_curve(field, m, branches, a=1) -> KummerCurve:
 # ---------------------------------------------------------------------------
 
 class Divisor:
-    """Finite formal integer combination of place classes."""
+    """Finite formal integer combination of place classes.  A coefficient
+    that is not a Python or numpy integer raises NotAnInteger."""
 
     __slots__ = ("table",)
 
     def __init__(self, table=None):
-        self.table = {p: int(c) for p, c in (table or {}).items() if c}
+        self.table = {}
+        for p, c in (table or {}).items():
+            c = c if type(c) is int else _integer(c, "coeff")
+            if c:
+                self.table[p] = c
 
     def coeff(self, place: Place) -> int:
         return self.table.get(place, 0)
@@ -328,6 +333,7 @@ class Divisor:
         return self + -other
 
     def __rmul__(self, scalar: int):
+        scalar = _integer(scalar, "scalar")
         return Divisor({p: scalar * c for p, c in self.table.items()})
 
     def __neg__(self):
@@ -381,6 +387,13 @@ class InvariantTuple:
 
     n0: int
     n: tuple[int, ...]
+
+    def __post_init__(self):
+        """n0 and each n_i as ints; anything but an integer raises NotAnInteger."""
+        if type(self.n0) is not int or type(self.n) is not tuple or \
+                not all(type(v) is int for v in self.n):
+            object.__setattr__(self, "n0", _integer(self.n0, "n0"))
+            object.__setattr__(self, "n", tuple(_integer(v, "n_i") for v in self.n))
 
     def degree(self, curve: KummerCurve) -> int:
         if len(self.n) != curve.r:

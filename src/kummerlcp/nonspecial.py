@@ -42,6 +42,7 @@ from .errors import (
     SearchSpaceTooLarge,
     UsageError,
 )
+from .ffield import _integer
 
 DEFAULT_SEARCH_CAP = 10**8
 #: bytes of packed counts that bulk_verdicts holds at once before slicing;
@@ -93,6 +94,7 @@ def _row(curve: KummerCurve, j: int) -> int:
 
 def bound_B(curve: KummerCurve, n0: int, j: int) -> int:
     """The per-j upper bound on how many coefficients may 'overflow'."""
+    n0 = _integer(n0, "n0")
     return _bounds(curve, n0, _residues(curve.m, curve.lambdas))[_row(curve, j)]
 
 

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -37,6 +39,7 @@ from kummerlcp.codes import (
     Basis,
     BasisFunction,
     Fibers,
+    Run,
     SpaceElement,
     basis_valuation,
     divisor_shape,
@@ -49,8 +52,10 @@ from kummerlcp.curve import Place, ell_invariant, principal_divisor, x_pole_divi
 from kummerlcp.errors import (
     DegreeOutOfRange,
     InvalidPlace,
+    KummerError,
     LengthMismatch,
     NotAnElement,
+    NotAnInteger,
     NotNonSpecial,
     NotWholeFibers,
     PoleAtEvaluationPlace,
@@ -798,6 +803,22 @@ def test_lcp_general_guards(f169, toy9):
         lcp_build_general(toy9, A, [0], completely_split_values(toy9), s=7)
 
 
+def test_lcp_general_inputs_are_integers(f169):
+    # s = 2.5 once built a verified pair with k = 144 / 80 and reported
+    # s = 2.5, and Phi = [0.2, 1, 2, 3.9] was read as {0, 1, 2, 3}
+    A, phi = QUARTIC_PAIR
+    split = completely_split_values(f169)
+    for bad in (2.5, 2.0, np.float64(2.0), True, "2", [2]):
+        with pytest.raises(NotAnInteger, match=f"s = {re.escape(repr(bad))} "):
+            lcp_build_general(f169, A, phi, split, bad)
+    for bad in ([0.2, 1, 2, 3.9], [0, 1, 2, 3.0], [0, 1, True, 3], [0, 1, 2, "3"]):
+        with pytest.raises(NotAnInteger, match="Phi index = "):
+            lcp_build_general(f169, A, bad, split)
+    pair = lcp_build_general(f169, A, [np.int64(i) for i in phi], split, np.int64(2))
+    assert type(pair.s) is int
+    assert pair.to_json() == lcp_build_general(f169, A, phi, split, 2).to_json()
+
+
 def test_lcp_pair_f169(f169):
     pair = lcp_build_regime(f169, "lambda_two", s=2)
     assert (pair.C.n, pair.C.k, pair.C.designed_distance) == (224, 160, 52)
@@ -975,6 +996,31 @@ def test_drawn_curve_pairs_end_to_end(data):
     assert (gf_rank(F, np.vstack(gens)) == pair.C.n) == pair.verified
     assert ell_invariant(curve, A) == 1
     assert pair.gcd_identity and pair.lmd_identity
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_drawn_pairs_rank_by_residue_at_both_ends_of_s(data):
+    """The pair of draw_pair_inputs at the first and at the last admissible
+    s is verified, and its build evaluates each code's basis once, in
+    build_code: no rank pass falls back to the dense oracle, as the proof
+    in x_part_rank's docstring says of every stacked pair."""
+    drawn = draw_pair_inputs(data)
+    if drawn is None:
+        return
+    curve, A, phi, values, _ = drawn
+    evaluated = []
+
+    def spy(on, basis, fibers):
+        evaluated.append(len(basis))
+        return eval_matrix(on, basis, fibers)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "eval_matrix", spy)
+        for s in s_interval(curve, curve.m * len(values), len(phi)):
+            evaluated.clear()
+            pair = lcp_build_general(curve, A, phi, values, s)
+            assert evaluated == [pair.C.k, pair.E.k] and pair.verified
 
 
 def with_zero_terms(rows):
@@ -1337,6 +1383,160 @@ def test_coupled_rank_equals_dense_rank_f169(f169, data):
     coupled_rank_property(f169, data)
 
 
+def outcome(compute):
+    """compute()'s value, or the type and message of the KummerError it raises."""
+    try:
+        return compute()
+    except KummerError as exc:
+        return type(exc), str(exc)
+
+
+def differential_rank_property(curve, data):
+    """x_part_rank of a basis drawn from a grammar of pieces against the
+    dense oracles.
+
+    Factor sets come from a small pool, so pieces share them, some reordered
+    or naming an alpha twice (both powers of one sign); their alphas are
+    branch points, the first split value (a pole where it is an x-value) or
+    other elements, with numerators (r < 0) among the powers.  The basis
+    starts with a short run x^j / D * y^t and the row c / (D * more) over
+    it, as E's rows lie over C's run in a stacked pair; up to two pieces
+    follow: more rows over D * more, runs, one-term rows (zero coefficients
+    too), and rows of two or three terms across weights, some with a term
+    and its negation.  Powers of x may be negative, and a weight may leave
+    [0, m).  T is drawn from each run's d + 1, d + deg(L / D) and one past
+    it, and mostly d + 2 where that is at most d + deg(L / D): side 1 then
+    ends below T while its polynomials reach T.  A row over the first run
+    may be prod (x - v) over the x-values, zero at each of them.
+
+    x_part_rank, gf_rank of eval_matrix and x_part_rank of the rows read
+    back by Basis.of agree: the same rank, or the same KummerError with the
+    same message.  A rank is also gf_rank of scalar_gen, which checks
+    nothing: at a pole it divides by zero."""
+    F = curve.field
+    m, split = curve.m, completely_split_values(curve)
+    away = [a for a in range(F.q) if a not in split]  # never a pole
+    alpha = st.sampled_from([*curve.alphas, split[0]]) | st.sampled_from(away)
+    power = st.sampled_from([1, 1, 1, 2, 2, 3, -1])
+
+    def factor_set():
+        f = data.draw(st.lists(st.tuples(alpha, power), max_size=3,
+                               unique_by=lambda a: a[0]), label="factors")
+        if f and data.draw(st.booleans(), label="twice"):  # (a, r) as (a, s), (a, r - s)
+            a, r = f[0]
+            f[:1] = [(a, r // abs(r)), (a, r - r // abs(r))] if abs(r) > 1 else [(a, r)]
+        return tuple(f)
+
+    pool = [factor_set() for _ in range(data.draw(st.integers(1, 3), label="sets"))]
+    factors = st.sampled_from(pool) | st.sampled_from(pool).map(lambda f: f[::-1])
+    weights = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=2,
+                                 unique=True), label="weights")
+    if data.draw(st.integers(0, 9), label="outside") == 0:
+        weights.append(data.draw(st.sampled_from([-1, m, 2 * m]), label="weight"))
+    weight = st.sampled_from(weights)
+    coeff = st.sampled_from([1, 0]) | st.integers(1, F.q - 1)
+    xpow = st.sampled_from([*range(7), *range(4), -1])
+    function = st.builds(BasisFunction, weight, xpow, factors)
+    # a short run x^j / D, and c / (D * more) over it, c != 0
+    first = Run(data.draw(weight, label="t"), data.draw(factors, label="D"),
+                data.draw(st.sampled_from([0, 0, 1, 2]), label="d"))
+    more = data.draw(st.lists(st.tuples(st.sampled_from(
+        [a for a in away if a not in dict(first.factors)]), st.integers(1, 3)),
+        min_size=1, max_size=2, unique_by=lambda a: a[0]), label="more")
+    over = first.factors + tuple(more)
+    pieces = [first, SpaceElement(((data.draw(st.integers(1, F.q - 1), label="c"),
+                                    BasisFunction(first.t, 0, over)),))]
+    for kind in data.draw(st.lists(st.sampled_from(["over", "run", "one", "many"]),
+                                   max_size=2), label="pieces"):
+        if kind == "over":
+            pieces.append(SpaceElement(((data.draw(coeff, label="c"), BasisFunction(
+                first.t, data.draw(st.integers(0, 3), label="j"), over)),)))
+        elif kind == "run":
+            pieces.append(Run(data.draw(weight, label="t"), data.draw(factors, label="D"),
+                              data.draw(st.integers(0, 5), label="d")))
+        elif kind == "one":
+            pieces.append(SpaceElement((data.draw(st.tuples(coeff, function),
+                                                  label="term"),)))
+        else:
+            terms = data.draw(st.lists(st.tuples(coeff, function), min_size=2,
+                                       max_size=3), label="terms")
+            if data.draw(st.booleans(), label="cancel"):
+                terms.append((F.neg(terms[0][0]), terms[0][1]))
+            pieces.append(SpaceElement(tuple(terms)))
+    top = {}  # weight -> alpha -> the highest power of (x - alpha) below the line
+    for row in Basis(pieces):
+        for _, bf in row.terms:
+            at = top.setdefault(bf.t, {})
+            for a, r in codes._exponents(bf.factors).items():
+                at[a] = max(at.get(a, 0), r)
+    near, window = {1, 2, 3}, set()
+    for piece in pieces:
+        if isinstance(piece, Run):
+            mine = codes._exponents(piece.factors)
+            c = sum(e - max(mine.get(a, 0), 0) for a, e in top[piece.t].items())
+            near |= {piece.d + 1, piece.d + c, piece.d + c + 1}
+            window |= {piece.d + 2} if c > 1 else set()  # d + 1 < T <= d + c
+    near, window = ([v for v in sorted(vs) if 1 <= v <= len(split)] for vs in (near, window))
+    if window and data.draw(st.integers(0, 3), label="in window"):
+        near = window
+    T = data.draw(st.sampled_from(near), label="T")
+    values = data.draw(st.lists(st.sampled_from(split), min_size=T, max_size=T,
+                                unique=True), label="values")
+    if data.draw(st.integers(0, 3), label="vanishing") == 0:
+        P = reduce(Poly.__mul__, [Poly.linear(F, v) for v in values])
+        pieces.append(SpaceElement(tuple((c, BasisFunction(first.t, i, over))
+                                         for i, c in enumerate(P.coeffs) if c)))
+    basis, fibers = Basis(pieces), split_place_list(curve, values)
+    got = outcome(lambda: x_part_rank(curve, basis, fibers))
+    assert outcome(lambda: gf_rank(F, eval_matrix(curve, basis, fibers))) == got
+    assert outcome(lambda: x_part_rank(curve, Basis.of(list(basis)), fibers)) == got
+    if isinstance(got, int):
+        assert gf_rank(F, scalar_gen(F, basis, fibers.places)) == got
+    elif got[0] is PoleAtEvaluationPlace:
+        with pytest.raises(ZeroDivisionError):
+            scalar_gen(F, basis, fibers.places)
+
+
+@settings(max_examples=200, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_differential_rank_toy9(toy9, data):
+    differential_rank_property(toy9, data)
+
+
+@settings(max_examples=80, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_differential_rank_f49(f49, data):
+    differential_rank_property(f49, data)
+
+
+@settings(max_examples=40, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_differential_rank_f169(f169, data):
+    differential_rank_property(f169, data)
+
+
+@settings(max_examples=80, **PROPERTY_SETTINGS)
+@given(data=st.data())
+def test_differential_rank_zero_split(zero_split, data):
+    differential_rank_property(zero_split, data)
+
+
+def test_side_one_reaching_T_above_its_rows(toy9):
+    # on toy9 at T = 3: side 1 is the run 1, x (d_1 = 1) and c_1 = L =
+    # (x - 8)^3, so d_1 + 1 = 2 < T <= d_1 + deg c_1 = 4, while the row
+    # 3 / (x - 8)^3 leaves only the residue 3, in the lowest column.  Side
+    # 1's polynomials reach degree T, so residues cannot rank the weight: at
+    # every 3 of the split values the rows have rank 2, where a count that
+    # read only the residues' columns gives 3
+    F = toy9.field
+    basis = Basis([Run(0, (), 1), SpaceElement(((3, BasisFunction(0, 0, ((8, 3),))),))])
+    for values in itertools.combinations(completely_split_values(toy9), 3):
+        fibers = split_place_list(toy9, values)
+        assert x_part_rank(toy9, basis, fibers) \
+            == gf_rank(F, eval_matrix(toy9, basis, fibers)) \
+            == gf_rank(F, scalar_gen(F, basis, fibers.places)) == 2
+
+
 @pytest.fixture
 def rank_calls(monkeypatch):
     """The matrices codes.gf_rank is called on, copied."""
@@ -1363,21 +1563,15 @@ def eval_calls(monkeypatch):
     return bases
 
 
-def parts_at(basis, w):
-    """The weight-w parts of the rows of basis that have one, in order."""
-    parts = [tuple((c, bf) for c, bf in elem.terms if bf.t == w) for elem in basis]
-    return [SpaceElement(terms) for terms in parts if terms]
-
-
 def shapes(matrices):
     return [M.shape for M in matrices]
 
 
 def test_monomial_rank_branches(f49, zero_split, rank_calls, eval_calls):
     # T = 4 split values of f49; denominators over its first three branch
-    # points; gf_rank sees one residue matrix, holding the evaluated block
-    # of each weight that needs one, and eval_matrix sees the parts at each
-    # such weight and no others
+    # points; gf_rank sees one residue matrix, or, for a basis the residues
+    # cannot rank, the oracle's eval_matrix of the whole basis, and
+    # eval_matrix sees that basis and no other
     F = f49.field
     values = completely_split_values(f49)[:4]
     fibers = split_place_list(f49, values)
@@ -1387,45 +1581,45 @@ def test_monomial_rank_branches(f49, zero_split, rank_calls, eval_calls):
     vanish = reduce(Poly.__mul__, [Poly.linear(F, v) for v in values])
     cases = [
         # one denominator, d + 1 = 6 > T: the Vandermonde rank min(d + 1, T)
-        (monomial_rows(0, ((a, 2),), range(6)), 4, [], []),
+        (monomial_rows(0, ((a, 2),), range(6)), 4, [], False),
         # L = (x - a)^2 (x - b), and c_1 = x - a on the side reaching N: the
         # other row (x - b) leaves a remainder mod c_1
         (monomial_rows(0, ((a, 1), (b, 1)), range(2))
-         + monomial_rows(0, ((a, 2),), range(1)), 3, [(1, 1)], []),
+         + monomial_rows(0, ((a, 2),), range(1)), 3, [(1, 1)], False),
         # D_2 | D_1 and side 1 reaches N: c_1 = 1, no residue column
         (monomial_rows(0, ((a, 1), (b, 1)), range(3))
-         + monomial_rows(0, ((a, 1),), range(1)), 3, [], []),
+         + monomial_rows(0, ((a, 1),), range(1)), 3, [], False),
         # coprime, N = 3 + 1 >= T: side 1 alone has d + 1 = 4 = T rows, a
         # Vandermonde block of rank T, so the weight saturates whatever the
         # other group adds (the polynomial span has dimension 5 > T)
         (monomial_rows(0, ((a, 1),), range(4)) + monomial_rows(0, ((b, 1),), range(4)),
-         4, [], []),
+         4, [], False),
         # two terms in a row (no side 1: every coefficient is a residue), or
         # a third denominator (side 1 is 1 / 1, with c_1 = L of degree 2)
-        ([SpaceElement(((1, one), (1, x)))], 1, [(1, 2)], []),
+        ([SpaceElement(((1, one), (1, x)))], 1, [(1, 2)], False),
         (monomial_rows(0, (), range(1)) + monomial_rows(0, ((a, 1),), range(1))
-         + monomial_rows(0, ((b, 1),), range(1)), 3, [(2, 2)], []),
+         + monomial_rows(0, ((b, 1),), range(1)), 3, [(2, 2)], False),
         # a factor set naming a twice is (x - a)^2: side 1 is 1 / 1 with
         # c_1 = L = (x - a)^2, and the rows 1, x leave two remainders
         (monomial_rows(0, ((a, 1), (a, 1)), range(2)) + monomial_rows(0, (), range(1)),
-         3, [(2, 2)], []),
+         3, [(2, 2)], False),
         # a run naming (x - a)(x - b) in the other order is not side 1, and
         # its rows x^j L / D = x^j c_1 (j <= d) leave zero residues: none
         # with c_1 = 1, beside one remainder column (mod c_1 = x - z) of
         # the third set's rows x^j (x - a)(x - b)
         (monomial_rows(0, ((a, 1), (b, 1)), range(3))
-         + monomial_rows(0, ((b, 1), (a, 1)), range(2)), 3, [], []),
+         + monomial_rows(0, ((b, 1), (a, 1)), range(2)), 3, [], False),
         (monomial_rows(0, ((a, 1), (b, 1)), range(3))
          + monomial_rows(0, ((b, 1), (a, 1)), range(2))
-         + monomial_rows(0, ((z, 1),), range(2)), 4, [(4, 1)], []),
+         + monomial_rows(0, ((z, 1),), range(2)), 4, [(4, 1)], False),
         # a factor with r < 0 is a numerator, here zero at an x-value: the
-        # weight is evaluated, a 4 x T block
-        (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 4)], [0]),
+        # oracle ranks the 4 x mT evaluated basis
+        (monomial_rows(0, ((values[0], -1),), range(4)), 3, [(4, 32)], True),
         # rows whose terms put them in a weight they are zero on: a zero
         # coefficient (the closed form would count 1) and two terms that
         # cancel leave zero polynomials, with no residue column
-        ([SpaceElement(((0, one),))], 0, [], []),
-        ([SpaceElement(((1, x), (F.neg(1), x)))], 0, [], []),
+        ([SpaceElement(((0, one),))], 0, [], False),
+        ([SpaceElement(((1, x), (F.neg(1), x)))], 0, [], False),
         # weight 0 saturates: side 1 = x^j, j <= 1, times c_1 = (x - a)(x - b)
         # and the residues 1, x of the other group reach T, so the coupled
         # part x^2 c_1 of degree T drops out; at weight 1 the coupled part x
@@ -1433,36 +1627,34 @@ def test_monomial_rank_branches(f49, zero_split, rank_calls, eval_calls):
         (monomial_rows(0, (), range(2)) + monomial_rows(0, ((a, 1), (b, 1)), range(2))
          + monomial_rows(1, (), range(1))
          + [SpaceElement(((1, BasisFunction(0, 2, ())), (1, BasisFunction(1, 1, ()))))],
-         6, [(2, 2), (1, 1)], []),
+         6, [(2, 2), (1, 1)], False),
         # a single-weight row of degree T that vanishes at every x-value:
         # its polynomial is independent, its values are zero, so weight 0
-        # cannot saturate by residue and is evaluated: its five rows get T
-        # value columns, and the joined row's weight-1 part 1 one residue
-        # column beside them
+        # cannot saturate by residue and the oracle ranks the 5 x mT
+        # evaluated basis
         (monomial_rows(0, (), range(3))
          + [SpaceElement(tuple((c, BasisFunction(0, i, ()))
                                for i, c in enumerate(vanish.coeffs) if c)),
             SpaceElement(((1, BasisFunction(0, 4, ())), (1, BasisFunction(1, 0, ()))))],
-         4, [(5, 5)], [0]),
+         4, [(5, 32)], True),
     ]
-    for basis, want, calls, weights in cases:
+    for basis, want, calls, oracle in cases:
         rank_calls.clear()
         eval_calls.clear()
         assert x_part_rank(f49, basis, fibers) \
             == gf_rank(F, scalar_gen(F, basis, fibers.places)) == want
         assert shapes(rank_calls) == calls
-        # one call per evaluated weight w, on the weight-w parts (only terms
-        # with bf.t == w) of exactly the rows that have one
-        assert eval_calls == [parts_at(basis, w) for w in weights]
+        # the oracle evaluates the whole basis once; the residues evaluate nothing
+        assert eval_calls == ([basis] if oracle else [])
     # the term x at the single x-value 0: exponents {1}, not 0..d, and of
-    # degree 1 = T, so the evaluated row
+    # degree 1 = T, so the oracle's evaluated row
     F, fibers = zero_split.field, split_place_list(zero_split, [0])
     basis = [SpaceElement.single(x)]
     rank_calls.clear()
     eval_calls.clear()
     assert x_part_rank(zero_split, basis, fibers) \
         == gf_rank(F, scalar_gen(F, basis, fibers.places)) == 0
-    assert shapes(rank_calls) == [(1, 1)]
+    assert shapes(rank_calls) == [(1, 4)]
     assert eval_calls == [basis]
 
 

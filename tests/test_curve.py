@@ -46,6 +46,7 @@ from kummerlcp.errors import (
     UsageError,
 )
 from kummerlcp.ffield import Poly, poly_analyze
+from kummerlcp.nonspecial import bound_B
 from kummerlcp.instances import dickson_curve_single
 
 
@@ -546,6 +547,11 @@ INTEGER_ENTRY_POINTS = {
     "coeff": (lambda F, v: Divisor.from_json(
         [{"place": {"kind": "infinity", "j": 0}, "coeff": v}]), 3),
     "place": (lambda F, v: Place.from_json({"kind": "split", "a": v, "y": 1}), 5),
+    "divisor coeff": (lambda F, v: Divisor({Place("infinity", j=0): v}), 3),
+    "divisor scalar": (lambda F, v: v * Divisor({Place("infinity", j=0): 2}), 3),
+    "tuple n0": (lambda F, v: InvariantTuple(v, (0, 1)), 0),
+    "tuple n_i": (lambda F, v: InvariantTuple(0, (0, v)), 1),
+    "bound_B n0": (lambda F, v: bound_B(make_curve(None, 6, [1, 1, 1, 3, 5]), v, 1), 0),
 }
 
 
@@ -555,7 +561,10 @@ def test_integer_parameters_are_integers(f49, entry):
     # with lambda = (1, 1); a float equal to an integer, a bool, a string
     # or None is no integer either (make_field(7.0, 2) once hit the cache
     # entry of GF(49)), nor a list (make_field([7], 2) once raised
-    # TypeError in the cache)
+    # TypeError in the cache); Divisor({P: 1.5}) once stored 1, 2.5 * D
+    # truncated, InvariantTuple(0, (0, 1.5, 3, 0, 5)) passed the
+    # criterion on ex37 with ell_invariant 1.0, and bound_B floored a
+    # float n0
     call, good = INTEGER_ENTRY_POINTS[entry]
     for bad in (4.5, float(good), np.float64(good), True, np.bool_(True), str(good),
                 None, [good]):

@@ -1,4 +1,6 @@
 import ast
+import functools
+import importlib.util
 import io
 import re
 import shlex
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kummerlcp import codes, gf_rank, make_curve
+from kummerlcp import codes, ffield, gf_rank, make_curve, nonspecial
 from kummerlcp.cli import main
 from kummerlcp.codes import fiber_values
 from kummerlcp.ffield import Poly
@@ -213,6 +215,19 @@ def test_bench_op_ranks_without_poly_division(name, ranks, divided, monkeypatch)
     assert calls == {"x_part_rank": ranks, "divmod": divided}
 
 
+def test_mutant_texts_occur_once():
+    # tools/mutants.py applies each mutant by replacing its old text in a
+    # copy of src/: a change that moves, edits or repeats one of those
+    # texts must update the list, or the mutant would not apply
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert {m.name: mutants.occurrences(m) for m in mutants.MUTANTS
+            if mutants.occurrences(m) != 1} == {}
+    assert all(m.old != m.new for m in mutants.MUTANTS)
+
+
 def _declared_requirements():
     """Import names of the dependencies and the test extra in pyproject."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+; 3.10 has no TOML reader
@@ -270,3 +285,102 @@ def test_readme_commands_and_example_run():
     with redirect_stdout(out):
         exec("\n".join(example), {})
     assert out.getvalue().splitlines() == stated
+
+
+#: the src/ functions and methods that no README CLI command and no
+#: reproduce id reaches, each kept as a test oracle or as public API
+UNREACHED = {
+    "codes.Basis.__getitem__": "api: a Basis reads as a sequence of rows",
+    "codes.Basis.__iter__": "api: a Basis reads as a sequence of rows",
+    "codes.LinearCode.gen": "api: the generator matrix on demand, the dense rank oracle's input",
+    "codes.LinearCode.to_json": "api: a code with its generator rows",
+    "codes.Run.row": "api: one row of a run, for Basis indexing and iteration",
+    "codes.min_distance_exact": "oracle: exhaustive minimum distance against the designed one",
+    "curve.Divisor.__ge__": "api: divisor order",
+    "curve.Divisor.__hash__": "api: divisors as set members and keys",
+    "curve.Divisor.__repr__": "api: divisors in messages and test reports",
+    "curve.Divisor.from_json": "api: the JSON reader of Divisor.to_json",
+    "curve.Divisor.is_effective": "api: D >= 0",
+    "curve.Divisor.items": "api: the sorted places and coefficients",
+    "curve.Divisor.to_json": "api: the JSON form of a divisor",
+    "curve.InvariantTuple.is_effective": "api: the tuple check of ell_invariant",
+    "curve.KummerCurve.__repr__": "api: curves in messages and test reports",
+    "curve.KummerCurve.f_poly": "oracle: f as a Poly, for brute-force point counts",
+    "curve.KummerCurve.from_json": "api: the curve reader of the CLI's --spec",
+    "curve.Place.from_json": "api: the JSON reader of Place.to_json",
+    "curve.Place.to_json": "api: the JSON form of a place",
+    "curve._items": "api: the list check of the from_json readers",
+    "curve._keys": "api: the key check of the from_json readers",
+    "curve.ell_invariant": "oracle: dim L(A) by restriction, against the criterion",
+    "curve.ell_invariant_bulk": "oracle: dim L(A) over a box, against bulk_verdicts",
+    "curve.rational_degree": "oracle: degrees in the rational subfield",
+    "curve.rational_ell": "oracle: dimensions in the rational subfield",
+    "curve.restrict": "api: a divisor restricted to the rational subfield",
+    "curve.split_zero_divisor": "api: the zeros of x - a at a split value",
+    "ffield.FieldSpec.__hash__": "api: fields as set members and keys",
+    "ffield.FieldSpec.__repr__": "api: fields in messages and test reports",
+    "ffield.FieldSpec.to_json": "api: the JSON form of a field",
+    "ffield.Poly.__eq__": "api: polynomial equality",
+    "ffield.Poly.__hash__": "api: polynomials as set members and keys",
+    "ffield.Poly.__pow__": "api: polynomial powers",
+    "ffield.Poly.__repr__": "api: polynomials in messages and test reports",
+    "ffield.Poly.one": "api: the polynomial 1",
+    "instances.dickson_curve_double": "api: the curves of the half_double regimes",
+    "nonspecial._row": "api: the j check of bound_B and overflow_set",
+    "nonspecial.bound_B": "api: B(n0, j) for one j; criterion_check reads every j at once",
+    "nonspecial.coeffs_all_ones": "api: the closed-form tuple for lambda = (1, ..., 1)",
+    "nonspecial.coeffs_half_double": "api: the closed-form tuple of the half_double regimes",
+    "nonspecial.overflow_set": "api: C(n0, j) for one j; criterion_check counts every j at once",
+}
+
+
+def _package_functions():
+    """(file, first line) -> 'module.qualname' of each function and method
+    defined at the top level of a package module or of its classes; the
+    first line is the first decorator's, as in a code object."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            for fn, prefix in ([(node, "")] if isinstance(node, ast.FunctionDef) else
+                               [(sub, node.name + ".") for sub in node.body
+                                if isinstance(sub, ast.FunctionDef)]
+                               if isinstance(node, ast.ClassDef) else []):
+                first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                found[(str(path), first)] = f"{path.stem}.{prefix}{fn.name}"
+    return found
+
+
+def test_unreached_functions_are_in_the_ledger(monkeypatch):
+    # the README CLI commands (plain, --json, and --csv where they have
+    # CSV) and the four reproduce ids run in process under sys.setprofile;
+    # a function they do not reach must be listed in UNREACHED as a test
+    # oracle or as public API, and a listed one must stay unreached.  The
+    # package's two caches start empty, so what earlier tests built is
+    # rebuilt here and counts as reached
+    for module, cache in ((ffield, "_fields"), (nonspecial, "_residues")):
+        fresh = functools.lru_cache(maxsize=None)(getattr(module, cache).__wrapped__)
+        monkeypatch.setattr(module, cache, fresh)
+    argvs = []
+    for argv in (shlex.split(line)[1:] for line in _readme_block("## CLI", "sh")
+                 if line.startswith("kummerlcp ")):
+        argvs += [argv, ["--json"] + argv] + ([["--csv"] + argv]
+                                              if argv[0] == "nonspecial" else [])
+    argvs += [["reproduce", cid] for cid in ("ex37", "f49", "f169", "dickson_half_m8")]
+    reached, package = set(), str(PACKAGE)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        for argv in argvs:
+            with redirect_stdout(io.StringIO()):
+                main(argv)
+    finally:
+        sys.setprofile(None)
+    unreached = {name for key, name in _package_functions().items() if key not in reached}
+    assert sorted(unreached - UNREACHED.keys()) == [], "unreached and not in the ledger"
+    assert sorted(UNREACHED.keys() - unreached) == [], "in the ledger but reached"
+    assert all(re.match(r"(oracle|api): \S", why) for why in UNREACHED.values())
