@@ -15,7 +15,9 @@ summand y^t (D its factor set), and the few rows the delta = 1 kernel joins.
 rr_basis, eval_matrix and x_part_rank read the runs, so a code costs Python
 work per run, not per row; the rows are SpaceElements only when read one by
 one (LinearCode.basis is such a lazily expanded sequence).  A list of
-SpaceElements is read as a Basis by Basis.of.
+SpaceElements is read as a Basis by Basis.of.  One term check (_check_terms)
+reads a basis for eval_matrix and x_part_rank: it sums the powers of each
+distinct factor set once, and both read those sums.
 
 On top of that sit generator matrices, exact rank computation over GF(q),
 the G/H construction producing complementary pairs of codes from a
@@ -299,6 +301,8 @@ def rr_basis(curve: KummerCurve, D) -> Basis:
         A, delta = divisor_shape(curve, D)
     else:
         A, delta = D
+        if _integer(delta, "delta") not in (0, 1):
+            raise UnsupportedShape(f"delta = {delta} is neither 0 nor 1")
     runs = []
     for t in range(curve.m):
         deg, r = _restricted_summand(curve, A.n0, A.n, t)
@@ -375,41 +379,37 @@ def _require_fibers(curve: KummerCurve, fibers) -> Fibers:
     return fibers
 
 
-def _exponents(factors: tuple) -> dict:
-    """{alpha: r} of a factor set, r summed where the set names alpha twice."""
-    out = {}
-    for alpha, r in factors:
-        out[alpha] = out.get(alpha, 0) + r
-    return out
-
-
-def _check_terms(basis: Basis, xs: np.ndarray, m: int) -> dict:
-    """The distinct factor sets D of the terms c * x^j / D * y^t of the
-    basis, each mapped to its index in order of first use.
+def _check_terms(basis: Basis, xs: np.ndarray, m: int):
+    """(sets, negative) of the terms c * x^j / D * y^t of the basis: sets
+    maps each distinct factor set D, in order of first use, to {alpha: r}
+    with r summed where D names alpha twice; negative tells whether a term
+    has j < 0.  eval_matrix and x_part_rank read D's powers from sets.
 
     Raises UnsupportedShape if a term has a weight outside [0, m), then
     PoleAtEvaluationPlace if one has a pole at one of the x-values xs: a
-    factor (x - alpha)^(-r) with r > 0 (summed per alpha) and alpha among
-    them, or a negative power of x with 0 among them.  It reads the pieces
-    (a run's powers are 0..d), with no field operations."""
+    factor (x - alpha)^(-r) with r > 0 and alpha among them, or a negative
+    power of x with 0 among them.  It reads the pieces (a run's powers are
+    0..d), with no field operations."""
     sets, weights, negative = {}, set(), False
     for piece in basis.pieces:
         for t, f, j in ([(piece.t, piece.factors, 0)] if isinstance(piece, Run)
                         else [(bf.t, bf.factors, bf.xpow) for _, bf in piece.terms]):
             weights.add(t)
-            sets.setdefault(f, len(sets))
             negative = negative or j < 0
+            if f not in sets:
+                sets[f] = {}
+                for alpha, r in f:
+                    sets[f][alpha] = sets[f].get(alpha, 0) + r
     if weights and not 0 <= min(weights) <= max(weights) < m:
         raise UnsupportedShape(f"basis weights {sorted(weights)} leave [0, {m})")
     values = set(xs.tolist())
-    for f in sets:
-        for alpha, r in _exponents(f).items():
-            if r > 0 and alpha in values:
-                raise PoleAtEvaluationPlace(
-                    f"pole at x = {alpha} among evaluation places")
+    poles = [alpha for exps in sets.values() for alpha, r in exps.items()
+             if r > 0 and alpha in values]
+    if poles:
+        raise PoleAtEvaluationPlace(f"pole at x = {poles[0]} among evaluation places")
     if 0 in values and negative:
         raise PoleAtEvaluationPlace("pole at x = 0 among evaluation places")
-    return sets
+    return sets, negative
 
 
 def split_place_list(curve: KummerCurve, a_values) -> Fibers:
@@ -450,13 +450,14 @@ def eval_matrix(curve: KummerCurve, basis, fibers: Fibers) -> np.ndarray:
     basis = Basis.of(basis)
     T, m = len(xs), curve.m
     out = np.zeros((len(basis), m * T), dtype=np.int64)
-    sets = _check_terms(basis, xs, m)
+    sets, _ = _check_terms(basis, xs, m)
+    index = dict(zip(sets, range(len(sets))))
     spans = []  # (first row, t, first j, number of terms, c, index of D)
     for start, piece in zip(basis.starts, basis.pieces):
         if isinstance(piece, Run):
-            spans.append((start, piece.t, 0, piece.d + 1, 1, sets[piece.factors]))
+            spans.append((start, piece.t, 0, piece.d + 1, 1, index[piece.factors]))
         else:
-            spans += [(start, bf.t, bf.xpow, 1, c, sets[bf.factors])
+            spans += [(start, bf.t, bf.xpow, 1, c, index[bf.factors])
                       for c, bf in piece.terms]
     if not spans:
         return out
@@ -466,11 +467,11 @@ def eval_matrix(curve: KummerCurve, basis, fibers: Fibers) -> np.ndarray:
     row, t, xpow, _, coeff, den = (np.repeat(column, size) for column in spans)
     row, xpow = row + step, xpow + step
     col = {alpha: j for j, alpha in
-           enumerate(dict.fromkeys(alpha for f in sets for alpha, _ in f), 1)}
+           enumerate(dict.fromkeys(alpha for e in sets.values() for alpha in e), 1)}
     exps = np.zeros((len(sets), len(col) + 1), dtype=np.int64)
-    for k, f in enumerate(sets):  # prod (x - alpha)^(-r) at xs
-        for alpha, r in f:
-            exps[k, col[alpha]] -= r
+    for k, e in enumerate(sets.values()):  # prod (x - alpha)^(-r) at xs
+        for alpha, r in e.items():
+            exps[k, col[alpha]] = -r
     exps = exps[den]
     exps[:, 0] = xpow
     bases = F.sub_arr(xs[None, :], np.array([0, *col], dtype=np.int64)[:, None])
@@ -588,11 +589,10 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
     field = curve.field
     xs = _require_fibers(curve, fibers).xs
     basis = Basis.of(basis)
-    sets = _check_terms(basis, xs, curve.m)
+    sets, negative = _check_terms(basis, xs, curve.m)
     T = len(xs)
-    if any(r < 0 for f in sets for r in _exponents(f).values()) or any(
-            bf.xpow < 0 for p in basis.pieces if not isinstance(p, Run)
-            for _, bf in p.terms):  # not a polynomial over a denominator
+    # a numerator factor or a negative power of x: not a polynomial over a denominator
+    if any(r < 0 for e in sets.values() for r in e.values()) or negative:
         return gf_rank(field, eval_matrix(curve, basis, fibers))
     # weight -> {D: [(first row, d)]} of the runs x^j / D, j = 0..d, and
     # weight -> {row: [(c, j, D)]} of the other rows' terms there, in basis order
@@ -610,14 +610,13 @@ def x_part_rank(curve: KummerCurve, basis, fibers: Fibers) -> int:
         groups, terms_at = runs.get(w, {}), rest.get(w, {})
         factor_sets = set(groups).union(*({f for _, _, f in terms}
                                           for terms in terms_at.values()))
-        powers = {f: _exponents(f) for f in factor_sets}
         top = {}  # L = prod (x - alpha)^top[alpha]
-        for exps in powers.values():
-            for alpha, r in exps.items():
+        for f in factor_sets:
+            for alpha, r in sets[f].items():
                 top[alpha] = max(top.get(alpha, 0), r)
         # L / D = prod (x - alpha)^ratio[D][alpha], of degree deg[D]
-        ratio = {f: {alpha: e - powers[f].get(alpha, 0) for alpha, e in top.items()
-                     if e != powers[f].get(alpha, 0)} for f in factor_sets}
+        ratio = {f: {alpha: e - sets[f].get(alpha, 0) for alpha, e in top.items()
+                     if e != sets[f].get(alpha, 0)} for f in factor_sets}
         deg = {f: sum(ratio[f].values()) for f in factor_sets}
         side, d1, n1 = None, -1, -1  # n1 = d1 + deg c_1
         for f, rs in groups.items():
@@ -899,12 +898,12 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
     if not first <= s <= last:
         raise SRangeEmpty(f"s={s} outside the admissible range [{first}, {last}]")
 
-    A_div = invariant_divisor(curve, A)
-    q_inf = curve.q_infinity()
-    base = A_div - Divisor({q_inf: 1})
-    G = base + (t - s * n_phi) * x_pole_divisor(curve)
-    phi_zero = Divisor({curve.branch_places(i)[0]: curve.m for i in phi_indices})
-    H = base + s * phi_zero
+    base = invariant_divisor(curve, A) - Divisor({curve.q_infinity(): 1})
+    x_pole = x_pole_divisor(curve)
+    # phi = prod_{i in Phi} (x - alpha_i), and div_0(phi) = div(phi) + |Phi| div_inf(x)
+    phi = principal_divisor(curve, {curve.alphas[i]: 1 for i in phi_indices})
+    G = base + (t - s * n_phi) * x_pole
+    H = base + s * (phi + n_phi * x_pole)
 
     code_G = build_code(curve, G, fibers)
     code_H = build_code(curve, H, fibers)
@@ -912,11 +911,10 @@ def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
 
     # divisor identities of the construction
     gcd_ok = G.gcd_min(H) == base
-    # phi = prod_{i in Phi} (x - alpha_i) and h = prod over the split values
-    # (x - a): lmd(G, H) = base + D + s div(phi) - div(h), and the zeros of h
-    # are the places D, so div(h) = D - t div_inf(x) and D cancels
-    phi = principal_divisor(curve, {curve.alphas[i]: 1 for i in phi_indices})
-    lmd_ok = G.lmd_max(H) - base == s * phi + t * x_pole_divisor(curve)
+    # h = prod over the split values (x - a): lmd(G, H) = base + D + s div(phi)
+    # - div(h), and the zeros of h are the places D, so div(h) = D - t
+    # div_inf(x) and D cancels
+    lmd_ok = G.lmd_max(H) - base == s * phi + t * x_pole
 
     return LCPPair(code_G, code_H, s, A, verified, gcd_ok, lmd_ok)
 

@@ -3,7 +3,10 @@
 Provides ramification data and genus, symbolic place classes, divisors,
 principal divisors, the restriction map to the rational subfield, the
 combinatorial Riemann-Roch dimension for invariant divisors,
-splitting types and the rational-place census.
+splitting types and the rational-place census.  div(y), div_inf(x) and
+div_0(x - alpha_i) are invariant divisors: the first two are
+invariant_divisor of one tuple, and principal_divisor sums them with the
+zeros of x - a at a completely split value a, its m places.
 
 Curves come in two flavors:
 
@@ -67,14 +70,18 @@ class Place(NamedTuple):
 
     @staticmethod
     def from_json(obj) -> "Place":
-        """The place of a to_json() object: its kind and the integer fields
-        that kind uses, no others.  Anything else raises UsageError."""
+        """The place of a to_json() object: its kind and the nonnegative
+        integer fields that kind uses, no others (a field of -1 is one
+        to_json leaves out).  Anything else raises UsageError."""
         uses = {"branch": ("i", "j"), "infinity": ("j",), "split": ("a", "y")}
         kind = obj.get("kind") if isinstance(obj, dict) else None
         if not (isinstance(kind, str) and kind in uses
                 and set(obj) == {"kind", *uses[kind]}):
             raise UsageError(f"not a place: {obj!r}")
-        return Place(kind, **{f: _integer(obj[f], f) for f in uses[kind]})
+        fields = {f: _integer(obj[f], f) for f in uses[kind]}
+        if min(fields.values()) < 0:
+            raise UsageError(f"not a place: {obj!r} has a negative field")
+        return Place(kind, **fields)
 
 
 @dataclass(frozen=True)
@@ -367,10 +374,11 @@ class Divisor:
     @staticmethod
     def from_json(obj) -> "Divisor":
         """The divisor of a to_json() list of {"place", "coeff"} objects with
-        integer coefficients; anything else raises a KummerError."""
+        integer coefficients, a place named twice counting the sum of its
+        coefficients; anything else raises a KummerError."""
         entries = [_keys(e, ("place", "coeff"), "a divisor entry")
                    for e in _items(obj, "a divisor")]
-        return Divisor({Place.from_json(p): _integer(c, "coeff") for p, c in entries})
+        return sum((Divisor({Place.from_json(p): c}) for p, c in entries), Divisor())
 
     def __repr__(self):
         return f"Divisor({self.items()})"
@@ -409,13 +417,13 @@ class InvariantTuple:
 
 
 def invariant_divisor(curve: KummerCurve, tup: InvariantTuple) -> Divisor:
-    """Expand an invariant tuple into an explicit place table."""
-    table = {}
-    for j in range(curve.ram.d_inf):
-        table[Place("infinity", j=j)] = tup.n0
+    """Expand an invariant tuple into an explicit place table: n_0 on each
+    place above infinity and n_i on each conjugate above alpha_i."""
+    if len(tup.n) != curve.r:
+        raise LengthMismatch("tuple length does not match curve")
+    table = dict.fromkeys(curve.infinity_places(), tup.n0)
     for i, ni in enumerate(tup.n):
-        for j in range(curve.ram.d[i]):
-            table[Place("branch", i=i, j=j)] = ni
+        table.update(dict.fromkeys(curve.branch_places(i), ni))
     return Divisor(table)
 
 
@@ -425,7 +433,7 @@ def invariant_divisor(curve: KummerCurve, tup: InvariantTuple) -> Divisor:
 
 def x_pole_divisor(curve: KummerCurve) -> Divisor:
     """div_inf(x) = e_inf * sum of infinite places (degree m)."""
-    return Divisor({p: curve.ram.e_inf for p in curve.infinity_places()})
+    return invariant_divisor(curve, InvariantTuple(curve.ram.e_inf, (0,) * curve.r))
 
 
 def branch_zero_divisor(curve: KummerCurve, i: int) -> Divisor:
@@ -433,43 +441,32 @@ def branch_zero_divisor(curve: KummerCurve, i: int) -> Divisor:
     return Divisor({p: curve.ram.e[i] for p in curve.branch_places(i)})
 
 
-def split_zero_divisor(curve: KummerCurve, a_enc: int) -> Divisor:
-    """div_0(x - a) for a completely split value a (degree m)."""
-    info = splitting_type(curve, a_enc)
-    if info.kind != "split":
-        raise UnsupportedRoot(f"x = {a_enc} is not completely split")
-    return Divisor({p: 1 for p in info.places})
-
-
 def y_divisor(curve: KummerCurve) -> Divisor:
-    """Principal divisor of y."""
-    table = {}
-    for i in range(curve.r):
-        v = curve.lambdas[i] // curve.ram.d[i]
-        for p in curve.branch_places(i):
-            table[p] = v
-    v_inf = -curve.ram.lam_sum // curve.ram.d_inf
-    for p in curve.infinity_places():
-        table[p] = v_inf
-    return Divisor(table)
+    """Principal divisor of y: lambda_i / d_i on each conjugate above alpha_i
+    and -Lambda / d_inf on each place above infinity."""
+    ram = curve.ram
+    n = tuple(lam // d for lam, d in zip(curve.lambdas, ram.d))
+    return invariant_divisor(curve, InvariantTuple(-ram.lam_sum // ram.d_inf, n))
 
 
 def principal_divisor(curve: KummerCurve, roots, t: int = 0) -> Divisor:
     """Divisor of prod (x - a)^mult * y^t for roots = {a: mult}.
 
     A negative multiplicity is a pole.  Every a must be a branch point or a
-    completely split value; other x-values have no rational place class to
-    carry them.
+    completely split value, whose zero div_0(x - a) is its m places; other
+    x-values have no rational place class to carry them (UnsupportedRoot).
     """
-    table = (t * y_divisor(curve)).table
+    out = t * y_divisor(curve) - sum(roots.values()) * x_pole_divisor(curve)
     for a, mult in roots.items():
         if curve.alphas and a in curve.alphas:
             zero = branch_zero_divisor(curve, curve.alphas.index(a))
         else:
-            zero = split_zero_divisor(curve, a)
-        for p, c in zero.table.items():
-            table[p] = table.get(p, 0) + mult * c
-    return Divisor(table) - sum(roots.values()) * x_pole_divisor(curve)
+            info = splitting_type(curve, a)
+            if info.kind != "split":
+                raise UnsupportedRoot(f"x = {a} is not completely split")
+            zero = Divisor(dict.fromkeys(info.places, 1))
+        out = out + mult * zero
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -481,28 +478,22 @@ def restrict(curve: KummerCurve, D: Divisor) -> dict:
 
     Returns a table keyed by ("branch", i), ("split", a) and ("infinity",)
     with value min over P|Q of floor(v_P(D) / e(P|Q)); zero entries dropped.
+    A place not on the curve raises InvalidPlace (a split place needs a
+    concrete curve).
     """
     out = {}
-    touched_branch = {p.i for p in D.table if p.kind == "branch"}
-    for i in touched_branch:
-        e = curve.ram.e[i]
-        val = min(D.coeff(p) // e for p in curve.branch_places(i))
-        if val:
-            out[("branch", i)] = val
-    if any(p.kind == "infinity" for p in D.table):
-        e = curve.ram.e_inf
-        val = min(D.coeff(p) // e for p in curve.infinity_places())
-        if val:
-            out[("infinity",)] = val
-    split_vals = {p.a for p in D.table if p.kind == "split"}
-    for a in split_vals:
-        places = [p for p in D.table if p.kind == "split" and p.a == a]
-        # unramified: e = 1, but conjugates missing from D count as zero
-        val = min(D.coeff(p) for p in places) if len(places) == curve.m else min(
-            0, min(D.coeff(p) for p in places))
-        if val:
-            out[("split", a)] = val
-    return out
+    for p in D.table:
+        curve.validate_place(p)
+        if p.kind == "branch":
+            key, e, above = ("branch", p.i), curve.ram.e[p.i], curve.branch_places(p.i)
+        elif p.kind == "infinity":
+            key, e, above = ("infinity",), curve.ram.e_inf, curve.infinity_places()
+        else:  # unramified: e = 1; a conjugate missing from D, read as None, is 0
+            key, e = ("split", p.a), 1
+            above = [q for q in D.table if q.kind == "split" and q.a == p.a]
+            above += [None] * (curve.m - len(above))
+        out[key] = min(D.coeff(q) // e for q in above)
+    return {key: v for key, v in out.items() if v}
 
 
 def rational_degree(rdiv: dict) -> int:
@@ -522,6 +513,8 @@ def _restricted_summand(curve: KummerCurve, n0: int, n, t: int):
     weight-t summand of L(A) has the basis x^j / prod (x - alpha_i)^r_i *
     y^t, j = 0..deg."""
     ram = curve.ram
+    if len(n) != curve.r:
+        raise LengthMismatch("tuple length does not match curve")
     r = [(ni * di + t * lam) // curve.m
          for ni, di, lam in zip(n, ram.d, curve.lambdas)]
     return (n0 * ram.d_inf - t * ram.lam_sum) // curve.m + sum(r), r
@@ -530,8 +523,6 @@ def _restricted_summand(curve: KummerCurve, n0: int, n, t: int):
 def ell_invariant(curve: KummerCurve, A: InvariantTuple,
                   allow_negative: bool = False) -> int:
     """dim L(A) for an invariant divisor, by restriction to the subfield."""
-    if len(A.n) != curve.r:
-        raise LengthMismatch("tuple length does not match curve")
     if not allow_negative and not A.is_effective():
         raise NegativeCoefficient(f"tuple {A} is not effective")
     total = 0

@@ -17,7 +17,7 @@ class NotPrime(KummerError):
 
 
 class DegreeZero(KummerError):
-    """Extension degree must be at least 1."""
+    """An extension degree, or the degree n of an n-th root, must be at least 1."""
 
 
 class FieldTooLarge(KummerError):

@@ -293,7 +293,10 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs):
-        cs = [int(c) for c in coeffs]
+        """coeffs are encodings, low to high: anything but an integer in
+        [0, q) raises NotAnElement, never truncates (1.5 is not 1)."""
+        cs = [c if type(c) is int and 0 <= c < field.q else field._element(c, "coeff")
+              for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -431,6 +434,9 @@ def nth_roots(F: FieldSpec, c: int, n: int) -> list[int]:
     log c, and then has exactly g solutions, one base solution plus the
     multiples of (q - 1)/g.  O(g) work instead of a scan of the field.
     """
+    n = _integer(n, "n")
+    if n < 1:
+        raise DegreeZero(f"root degree n must be >= 1, got {n}")
     if F._element(c, "c") == 0:
         return [0]
     order = F.q - 1

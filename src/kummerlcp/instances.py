@@ -18,6 +18,7 @@ from .ffield import (
     MAX_ORDER,
     FieldSpec,
     Poly,
+    _integer,
     make_field,
     poly_analyze,
     prime_factors,
@@ -28,7 +29,7 @@ from .nonspecial import coeffs_lambda_two, enumerate_nonspecial
 def dickson(d: int, field: FieldSpec) -> Poly:
     """The first-kind Dickson polynomial phi_d over the field, a Poly:
     phi_0 = 2, phi_1 = x, phi_{d+1} = x*phi_d - phi_{d-1}."""
-    if d < 0:
+    if _integer(d, "d") < 0:
         raise RegimeViolation(f"Dickson index must be >= 0, got {d}")
     prev = Poly.from_ints(field, [2])
     if d == 0:

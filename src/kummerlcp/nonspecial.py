@@ -78,15 +78,17 @@ def _bounds(curve: KummerCurve, n0: int, res: _Residues) -> list[int]:
 
 
 def _reach(curve: KummerCurve, n) -> list[int]:
-    """n_i d_i clipped to [0, m-1]: i lies in C(n0, j) iff res_ji <= n_i d_i,
-    and a zero residue, read as m, lies in no C.  The clip keeps that exact
-    for an int of any size or sign."""
+    """n_i d_i clipped above at m - 1: i lies in C(n0, j) iff res_ji <= n_i d_i,
+    and a zero residue, read as m, lies in no C.  Every residue is read in
+    [1, m], so the clip keeps that exact for an int of any size, and a
+    negative reach excludes i just as 0 does."""
     if len(n) != curve.r:
         raise LengthMismatch("tuple length does not match curve")
-    return [min(max(ni * di, 0), curve.m - 1) for ni, di in zip(n, curve.ram.d)]
+    return [min(ni * di, curve.m - 1) for ni, di in zip(n, curve.ram.d)]
 
 
 def _row(curve: KummerCurve, j: int) -> int:
+    j = _integer(j, "j")
     if not 1 <= j < curve.m:
         raise JOutOfRange(f"j={j} outside [1, {curve.m})")
     return j - 1

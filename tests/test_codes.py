@@ -1391,6 +1391,14 @@ def outcome(compute):
         return type(exc), str(exc)
 
 
+def exponents(factors):
+    """{alpha: r} of a factor set, r summed where it names alpha twice."""
+    out = {}
+    for alpha, r in factors:
+        out[alpha] = out.get(alpha, 0) + r
+    return out
+
+
 def differential_rank_property(curve, data):
     """x_part_rank of a basis drawn from a grammar of pieces against the
     dense oracles.
@@ -1467,12 +1475,12 @@ def differential_rank_property(curve, data):
     for row in Basis(pieces):
         for _, bf in row.terms:
             at = top.setdefault(bf.t, {})
-            for a, r in codes._exponents(bf.factors).items():
+            for a, r in exponents(bf.factors).items():
                 at[a] = max(at.get(a, 0), r)
     near, window = {1, 2, 3}, set()
     for piece in pieces:
         if isinstance(piece, Run):
-            mine = codes._exponents(piece.factors)
+            mine = exponents(piece.factors)
             c = sum(e - max(mine.get(a, 0), 0) for a, e in top[piece.t].items())
             near |= {piece.d + 1, piece.d + c, piece.d + c + 1}
             window |= {piece.d + 2} if c > 1 else set()  # d + 1 < T <= d + c

@@ -26,7 +26,6 @@ from kummerlcp.curve import (
     ell_invariant_bulk,
     rational_degree,
     rational_ell,
-    split_zero_divisor,
     x_pole_divisor,
     y_divisor,
 )
@@ -185,6 +184,12 @@ def test_divisor_arithmetic(ex37_curve):
     assert D.gcd_min(E) + D.lmd_max(E) == D + E
     again = Divisor.from_json(D.to_json())
     assert again == D
+    assert repr(Divisor({q: 2})) == f"Divisor([({q!r}, 2)])"
+
+
+def test_curve_reprs(ex37_curve, f169):
+    assert repr(ex37_curve) == "KummerCurve(abstract, m=6, lambdas=(1, 1, 1, 3, 5))"
+    assert repr(f169) == "KummerCurve(GF(169), m=8, lambdas=(1, 1, 1, 1, 2))"
 
 
 #: derandomized; a failing example is reported as drawn, without shrinking
@@ -260,9 +265,9 @@ def test_standard_divisors_have_degree_m(f49):
     for i in range(f49.r):
         assert branch_zero_divisor(f49, i).degree == m
     a = completely_split_values(f49)[0]
-    assert split_zero_divisor(f49, a).degree == m
-    with pytest.raises(UnsupportedRoot):
-        split_zero_divisor(f49, f49.alphas[0])
+    zero = principal_divisor(f49, {a: 1}) + x_pole_divisor(f49)  # div_0(x - a)
+    assert zero.degree == m
+    assert zero == Divisor(dict.fromkeys(splitting_type(f49, a).places, 1))
 
 
 def test_y_divisor_is_principal(f49, ex37_curve):

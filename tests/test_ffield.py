@@ -324,6 +324,16 @@ def test_poly_arithmetic(field):
         pt = rng.randrange(F.q)
         assert (a * b).eval_enc(pt) == F.mul(a.eval_enc(pt), b.eval_enc(pt))
         assert (a + b).eval_enc(pt) == F.add(a.eval_enc(pt), b.eval_enc(pt))
+    with pytest.raises(ZeroDivisionError):
+        divmod(Poly(F, [1, 1]), Poly(F, []))
+
+
+def test_field_and_poly_reprs_and_hash():
+    F = make_field(7, 2)
+    assert repr(F) == "GF(49)"
+    assert repr(Poly(F, [3, 0, 1, 0])) == "Poly(GF(49), [3, 0, 1])"
+    # equal polynomials hash alike, so they meet in a set
+    assert len({Poly(F, [1, 2]), Poly(F, [1, 2, 0]), Poly.x(F)}) == 2
 
 
 def test_poly_analyze_quartic_over_gf49():

@@ -13,6 +13,7 @@ from kummerlcp.errors import (
 )
 from kummerlcp.ffield import Poly, poly_analyze
 from kummerlcp.instances import (
+    _x2_quartic_curve,
     dickson_curve_double,
     dickson_curve_single,
     f49_curve,
@@ -126,6 +127,13 @@ def test_dickson_double_guard():
         dickson_curve_double(4, 6)  # q = 6 is not a prime power
     with pytest.raises(FieldTooLarge):
         dickson_curve_double(4, LARGE_PRIME)
+    with pytest.raises(RootCountMismatch):
+        dickson_curve_double(4, 7)  # phi_5 has one root in GF(49), 0
+
+
+def test_quartic_curve_needs_a_split_quartic():
+    with pytest.raises(RootCountMismatch):
+        _x2_quartic_curve(2)  # x^4 + 1 = (x + 1)^4 over GF(4)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,8 @@ def test_search_cap(monkeypatch):
 def test_all_ones_examples():
     assert coeffs_all_ones(5, 3) == InvariantTuple(0, (0, 1, 3))
     assert coeffs_all_ones(2, 5) == InvariantTuple(0, (0, 0, 0, 1, 1))
+    with pytest.raises(RegimeViolation):
+        coeffs_all_ones(1, 3)    # m < 2
     for m, r in [(3, 2), (7, 3), (8, 5), (11, 4), (13, 7)]:
         if math.gcd(m, 1) != 1:
             continue
@@ -434,6 +436,8 @@ def test_half_double_examples():
     assert tup1.n[-2:] == (1, 0)
     c = make_curve(None, 4, [1, 1, 1, 2, 2])
     assert criterion_check(c, tup1).passed
+    with pytest.raises(RegimeViolation):
+        coeffs_half_double(5, 7, 1)    # odd m
     with pytest.raises(RegimeViolation):
         coeffs_half_double(4, 5, 3)
     with pytest.raises(RegimeViolation):

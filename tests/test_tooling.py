@@ -316,7 +316,6 @@ UNREACHED = {
     "curve.rational_degree": "oracle: degrees in the rational subfield",
     "curve.rational_ell": "oracle: dimensions in the rational subfield",
     "curve.restrict": "api: a divisor restricted to the rational subfield",
-    "curve.split_zero_divisor": "api: the zeros of x - a at a split value",
     "ffield.FieldSpec.__hash__": "api: fields as set members and keys",
     "ffield.FieldSpec.__repr__": "api: fields in messages and test reports",
     "ffield.FieldSpec.to_json": "api: the JSON form of a field",

@@ -73,7 +73,9 @@ MUTANTS = [
     Mutant("fallback: degree T ranked by residue", "codes.py",
            "if d1 + cols(R) >= T:", "if d1 + cols(R) > T:", RANK),
     Mutant("fallback: a numerator (x - a)^1 ranked by residue", "codes.py",
-           "if any(r < 0 for f in sets", "if any(r < -1 for f in sets", RANK),
+           "any(r < 0 for e in sets.values()", "any(r < -1 for e in sets.values()", RANK),
+    Mutant("factor set: the last power of a repeated alpha wins", "codes.py",
+           "sets[f][alpha] = sets[f].get(alpha, 0) + r", "sets[f][alpha] = r", RANK),
     Mutant("saturation: side 1 of T rows not counted as T", "codes.py",
            "if d1 + 1 >= T or not ids:", "if d1 >= T or not ids:", RANK),
     Mutant("gf_rank peel: a row with two unit columns peeled twice", "codes.py",
@@ -95,12 +97,9 @@ MUTANTS = [
            "if (m - 1) * w < 8 * dtype.itemsize:", "if (m - 1) * w <= 8 * dtype.itemsize:",
            CRITERION),
     Mutant("_reach: clip at m, where a zero residue reads m", "nonspecial.py",
-           "min(max(ni * di, 0), curve.m - 1)", "min(max(ni * di, 0), curve.m)", CRITERION),
+           "min(ni * di, curve.m - 1)", "min(ni * di, curve.m)", CRITERION),
     Mutant("_reach: n_i = 0 reaches residue 1", "nonspecial.py",
-           "min(max(ni * di, 0), curve.m - 1)", "min(max(ni * di, 1), curve.m - 1)", CRITERION),
-    Mutant("_reach: no clip below", "nonspecial.py",
-           "min(max(ni * di, 0), curve.m - 1)", "min(ni * di, curve.m - 1)", CRITERION,
-           equivalent="every residue is at least 1, so a reach below 0 counts as 0 does"),
+           "min(ni * di, curve.m - 1)", "min(max(ni * di, 1), curve.m - 1)", CRITERION),
     Mutant("_restricted_summand: the floor r_i rounded up at a multiple of m", "curve.py",
            "r = [(ni * di + t * lam) // curve.m", "r = [(ni * di + t * lam + 1) // curve.m",
            ("tests/test_curve.py", "-k", "ell")),
