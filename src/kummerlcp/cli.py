@@ -147,8 +147,6 @@ def _cmd_lcp(args) -> int:
             raise UsageError("general build needs --tuple and --phi "
                              "(or use --regime)")
         tup = _tuple_arg(c, args.tuple)
-        if split_values is None:
-            split_values = curve_mod.completely_split_values(c)
         pair = codes.lcp_build_general(c, tup, _int_list(args.phi),
                                        split_values, args.s)
 

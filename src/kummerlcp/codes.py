@@ -24,7 +24,8 @@ the G/H construction producing complementary pairs of codes from a
 non-special divisor of degree g, and exhaustive minimum-distance checks.
 
 Codes are evaluated at whole fibers: all m places (a, y_1), ..., (a, y_m)
-above each of T distinct completely split x-values a.  fiber_values checks
+above each of T distinct completely split x-values a (split_place_list
+takes every such a when given none).  fiber_values checks
 a place list once and returns it as Fibers (the curve, the places, their
 sorted x-values xs, each place's column into xs and its y-value);
 build_code, eval_matrix, LinearCode.gen() and lcp_verify reuse it and
@@ -56,11 +57,12 @@ from .curve import (
     InvariantTuple,
     KummerCurve,
     Place,
+    _items,
     _restricted_summand,
     completely_split_values,
     invariant_divisor,
     principal_divisor,
-    splitting_type,
+    split_fiber,
     x_pole_divisor,
 )
 from .errors import (
@@ -79,8 +81,8 @@ from .errors import (
     SRangeEmpty,
     SupportOverlap,
     TooLargeToEnumerate,
-    UnsupportedRoot,
     UnsupportedShape,
+    UsageError,
 )
 from .ffield import FieldSpec, Poly, _integer
 from .nonspecial import (
@@ -290,7 +292,8 @@ def infinity_functional(curve: KummerCurve, c_inf: int,
 def rr_basis(curve: KummerCurve, D) -> Basis:
     """Basis of L(D) for D of the shape invariant(A) - delta * Q_infinity.
 
-    Accepts either a Divisor or a pair (InvariantTuple, delta).  The weight-t
+    Accepts either a Divisor or a pair (InvariantTuple, delta), and raises
+    UsageError for anything else.  The weight-t
     summand of L(A) is one Run x^j / D * y^t, j = 0..d.  For delta = 1 the
     functional is evaluated once per run, at its top term: the valuation at
     Q_infinity falls as j grows, so no other term reaches -n_0.  The first
@@ -300,7 +303,9 @@ def rr_basis(curve: KummerCurve, D) -> Basis:
     if isinstance(D, Divisor):
         A, delta = divisor_shape(curve, D)
     else:
-        A, delta = D
+        A, delta = _items(D, "D (a Divisor or a pair (A, delta))", 2)
+        if not isinstance(A, InvariantTuple):
+            raise UsageError(f"A = {A!r} is not an InvariantTuple")
         if _integer(delta, "delta") not in (0, 1):
             raise UnsupportedShape(f"delta = {delta} is neither 0 nor 1")
     runs = []
@@ -412,20 +417,17 @@ def _check_terms(basis: Basis, xs: np.ndarray, m: int):
     return sets, negative
 
 
-def split_place_list(curve: KummerCurve, a_values) -> Fibers:
-    """The fibers above distinct completely split x-values, places sorted."""
+def split_place_list(curve: KummerCurve, a_values=None) -> Fibers:
+    """The fibers above distinct completely split x-values, places sorted;
+    a_values None reads as every completely split value of the curve."""
     F = curve._require_field()
+    if a_values is None:
+        a_values = completely_split_values(curve)
     values = sorted(F._element(v, "x") for v in a_values)
     repeated = sorted({a for a, b in zip(values, values[1:]) if a == b})
     if repeated:
         raise NotWholeFibers(f"split x-values repeated: {repeated}")
-    places = []
-    for a in values:
-        info = splitting_type(curve, a)
-        if info.kind != "split":
-            raise UnsupportedRoot(f"x = {a} is not completely split")
-        places.extend(info.places)
-    return fiber_values(curve, places)
+    return fiber_values(curve, [p for a in values for p in split_fiber(curve, a)])
 
 
 def eval_matrix(curve: KummerCurve, basis, fibers: Fibers) -> np.ndarray:
@@ -868,12 +870,13 @@ def s_interval(curve: KummerCurve, n: int, n_phi: int):
 
 
 def lcp_build_general(curve: KummerCurve, A: InvariantTuple, phi_indices,
-                      split_values, s: int | None = None) -> LCPPair:
+                      split_values=None, s: int | None = None) -> LCPPair:
     """Build the pair of codes from a non-special degree-g tuple A.
 
     G = A - Q_inf + (t - s*|phi|) * div_inf(x) and
     H = A - Q_inf + s * div_0(prod_{i in phi} (x - alpha_i)),
-    evaluated at the places above the given completely split x-values.
+    evaluated at the places above the given completely split x-values
+    (split_values None: every completely split value).
     """
     phi_indices = sorted({_integer(i, "Phi index") for i in phi_indices})
     s = s if s is None else _integer(s, "s")
@@ -953,8 +956,6 @@ def lcp_build_regime(curve: KummerCurve, regime: str, split_values=None,
     A = InvariantTuple(tup.n0, tuple(v for _, v in sorted(zip(order, tup.n))))
     n_phi = curve.lambdas.count(1)
 
-    if split_values is None:
-        split_values = completely_split_values(curve)
     pair = lcp_build_general(curve, A, order[:n_phi], split_values, s)
 
     n = pair.C.n

@@ -6,7 +6,8 @@ combinatorial Riemann-Roch dimension for invariant divisors,
 splitting types and the rational-place census.  div(y), div_inf(x) and
 div_0(x - alpha_i) are invariant divisors: the first two are
 invariant_divisor of one tuple, and principal_divisor sums them with the
-zeros of x - a at a completely split value a, its m places.
+zeros of x - a at a completely split value a, its m places: split_fiber
+returns them, and raises UnsupportedRoot for any other a.
 
 Curves come in two flavors:
 
@@ -101,6 +102,7 @@ class KummerCurve:
         self.m = _integer(m, "m")
         if self.m < 2:
             raise GcdViolation(f"extension degree m must be >= 2, got {m}")
+        branches = _items(branches, "branches")
         if field is None:
             self.field = None
             lambdas = [_integer(l, "lambda") for l in branches]
@@ -112,7 +114,8 @@ class KummerCurve:
             self.field = field
             alphas = []
             lambdas = []
-            for alpha, lam in branches:
+            for branch in branches:
+                alpha, lam = _items(branch, "a branch (alpha, lambda)", 2)
                 alphas.append(field._element(alpha, "alpha"))
                 lambdas.append(_integer(lam, "lambda"))
             if len(set(alphas)) != len(alphas):
@@ -269,7 +272,7 @@ class KummerCurve:
         check the values."""
         if isinstance(obj, dict) and obj.get("abstract"):
             m, lambdas = _keys(obj, ("m", "lambdas"), "an abstract curve")
-            return KummerCurve(None, m, _items(lambdas, "lambdas"))
+            return KummerCurve(None, m, lambdas)
         field, m, branches = _keys(obj, ("field", "m", "branches"), "a curve")
         branches = [_keys(b, ("alpha", "lambda"), "a branch")
                     for b in _items(branches, "branches")]
@@ -289,16 +292,19 @@ def _keys(obj, keys, what: str) -> list:
     return [obj[k] for k in keys]
 
 
-def _items(obj, what: str) -> list:
-    """obj, if it is a list."""
-    if not isinstance(obj, list):
-        raise UsageError(f"{what} should be a list, got {obj!r}")
+def _items(obj, what: str, length: int | None = None):
+    """obj, if it is a list or a tuple, of the given length if one is given."""
+    if not isinstance(obj, (list, tuple)) or length not in (None, len(obj)):
+        of = "" if length is None else f" of {length}"
+        raise UsageError(f"{what} should be a list or tuple{of}, got {obj!r}")
     return obj
 
 
 def make_curve(field, m, branches, a=1) -> KummerCurve:
     """Construct a Kummer curve; pass field=None and a lambda list for abstract.
-    A field that is neither a FieldSpec nor None raises UsageError."""
+    A field that is neither a FieldSpec nor None raises UsageError, and so
+    do branches, or a branch (alpha, lambda), not held in a list or tuple
+    of the right length."""
     return KummerCurve(field, m, branches, a)
 
 
@@ -397,11 +403,13 @@ class InvariantTuple:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        """n0 and each n_i as ints; anything but an integer raises NotAnInteger."""
+        """n0 and each n_i as ints; anything but an integer raises NotAnInteger,
+        and n_i held in anything but a list or tuple raises UsageError."""
         if type(self.n0) is not int or type(self.n) is not tuple or \
                 not all(type(v) is int for v in self.n):
             object.__setattr__(self, "n0", _integer(self.n0, "n0"))
-            object.__setattr__(self, "n", tuple(_integer(v, "n_i") for v in self.n))
+            object.__setattr__(self, "n", tuple(_integer(v, "n_i")
+                                                for v in _items(self.n, "n")))
 
     def degree(self, curve: KummerCurve) -> int:
         if len(self.n) != curve.r:
@@ -458,13 +466,10 @@ def principal_divisor(curve: KummerCurve, roots, t: int = 0) -> Divisor:
     """
     out = t * y_divisor(curve) - sum(roots.values()) * x_pole_divisor(curve)
     for a, mult in roots.items():
-        if curve.alphas and a in curve.alphas:
+        if curve.alphas and curve.field._element(a, "x") in curve.alphas:
             zero = branch_zero_divisor(curve, curve.alphas.index(a))
         else:
-            info = splitting_type(curve, a)
-            if info.kind != "split":
-                raise UnsupportedRoot(f"x = {a} is not completely split")
-            zero = Divisor(dict.fromkeys(info.places, 1))
+            zero = Divisor(dict.fromkeys(split_fiber(curve, a), 1))
         out = out + mult * zero
     return out
 
@@ -579,6 +584,15 @@ def splitting_type(curve: KummerCurve, a) -> SplittingInfo:
     if ys:
         return SplittingInfo("split", [Place("split", a=a_enc, y=y) for y in ys])
     return SplittingInfo("inert-or-partial", [])
+
+
+def split_fiber(curve: KummerCurve, a) -> list:
+    """The m places above a completely split x-value a; any other a, a
+    branch point included, raises UnsupportedRoot."""
+    info = splitting_type(curve, a)
+    if info.kind != "split":
+        raise UnsupportedRoot(f"x = {a} is not completely split")
+    return info.places
 
 
 def completely_split_values(curve: KummerCurve) -> list[int]:

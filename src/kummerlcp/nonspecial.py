@@ -8,12 +8,13 @@ the lambda patterns (1,...,1), (1,...,1,m/2), (1,...,1,m/2,m/2) and
 
 The criterion depends on the curve only through the residues j * lambda_i
 mod m (j = 1..m-1): one table of them, built once per (m, lambdas) and
-cached, gives every bound B(n0, j) and every overflow set C(n0, j).  The
-scalar check reads all rows of that table at once.  The bulk check covers
-the whole box, n0 included, in one call: the counts |C(n0, j)| do not
-depend on n0, so it packs them one digit per j into integer words, sums
-those once per curve and decides each n0 with a few whole-word operations,
-one slice per index of the leading axes when the box is large.
+kept for the life of the process, gives every bound B(n0, j) and every
+overflow set C(n0, j).  The scalar check reads all rows of that table at
+once.  The bulk check covers the whole box, n0 included, in one call: the
+counts |C(n0, j)| do not depend on n0, so it packs them one digit per j
+into integer words, sums those once per curve and decides each n0 with a
+few whole-word operations, one slice per index of the leading axes when
+the box is large.
 Enumeration reads its tuples off that one verdict array.
 
 Everything here is purely combinatorial in (m, lambda_1, ..., lambda_r);
@@ -26,7 +27,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -59,10 +60,12 @@ class _Residues(NamedTuple):
     sums: tuple  # sum_i rows[i][j-1] for j = 1..m-1
 
 
-@lru_cache(maxsize=256)
+@cache
 def _residues(m: int, lambdas: tuple) -> _Residues:
     """The residues of one curve shape and their sums over i, as Python
-    ints.  One cached table per curve shape, linear in m."""
+    ints.  One table per curve shape, r * (m - 1) small ints, kept for the
+    life of the process: a bounded cache would rebuild every table of a
+    sweep that cycles through more shapes than it holds."""
     table = (np.outer(lambdas, np.arange(1, m)) - 1) % m + 1
     return _Residues(tuple(table.tolist()), tuple(table.sum(axis=0).tolist()))
 

@@ -73,6 +73,18 @@ def bound_by_definition(curve, n0: int, j: int) -> int:
     return -1 - (-top // curve.m)
 
 
+def containers(item, lo: int, hi: int):
+    """lo..hi drawn items in a list or a tuple, or held some other way: in
+    an iterator, or replaced by an int, None or a string."""
+    items = st.lists(item, min_size=lo, max_size=hi)
+    return st.one_of(items, items.map(tuple), items.map(iter),
+                     st.sampled_from([5, None, "12"]))
+
+
+def is_sequence(v, length=None) -> bool:
+    return isinstance(v, (list, tuple)) and length in (None, len(v))
+
+
 def places(curve):
     """Places of every kind, with fields in and out of range; split places
     are often a real one with one coordinate moved."""
@@ -126,6 +138,31 @@ def _(c, v):
     return make_curve(c.field, 4, [(0, 1), (3, v)]).lambdas == (1, v) and is_integer(v)
 
 
+@call("make_curve branches", containers(st.tuples(st.sampled_from([0, 3, 5]), st.just(1)),
+                                         0, 3))
+def _(c, v):
+    curve = make_curve(c.field, 4, v)
+    return is_sequence(v) and curve.alphas == tuple(alpha for alpha, _ in v)
+
+
+@call("make_curve branch", containers(st.integers(1, 3), 0, 3))
+def _(c, v):
+    curve = make_curve(c.field, 4, [(0, 1), v])
+    return is_sequence(v, 2) and (curve.alphas[1], curve.lambdas[1]) == tuple(v)
+
+
+@call("make_curve lambdas", containers(st.integers(1, 5), 0, 3))
+def _(c, v):
+    lambdas = make_curve(None, 6, v).lambdas
+    return is_sequence(v) and lambdas == tuple(v)
+
+
+@call("InvariantTuple n", containers(st.integers(0, 3), 0, 6))
+def _(c, n):
+    tup = InvariantTuple(0, n)
+    return is_sequence(n) and type(tup.n) is tuple and tup.n == tuple(n)
+
+
 @call("nth_roots c", values(-2, 200))
 def _(c, v):
     return nth_roots(c.field, v, 4) == roots_by_scan(c.field, v, 4) and is_integer(v)
@@ -174,10 +211,20 @@ def _(c, n):
     return len(rr_basis(c, (InvariantTuple(0, (0,) * n), 0))) == 1 and n == c.r
 
 
+#: a tuple of f169 (r = 5) with deg A - delta > 2g - 2 at either delta
+A16 = InvariantTuple(16, (0,) * 5)
+
+
+@call("rr_basis pair", containers(st.sampled_from([A16, 0, 1, None]), 0, 3))
+def _(c, v):
+    basis = rr_basis(c, v)
+    return is_sequence(v, 2) and v[0] is A16 and len(basis) == 32 - v[1] - c.genus + 1
+
+
 @call("rr_basis delta", values(-2, 3))
 def _(c, v):
     # deg A - delta = 32 - delta > 2g - 2 = 24, so dim L is 32 - delta - g + 1
-    basis = rr_basis(c, (InvariantTuple(16, (0,) * c.r), v))
+    basis = rr_basis(c, (A16, v))
     return is_integer(v) and v in (0, 1) and len(basis) == 32 - v - c.genus + 1
 
 
@@ -228,7 +275,7 @@ def _(c, p):
     return on_curve(c, p)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True,
+@settings(max_examples=620, deadline=None, derandomize=True,
           phases=(Phase.explicit, Phase.generate))
 @given(data=st.data())
 def test_exported_calls_raise_a_kummer_error_or_are_right(f169, data):
@@ -358,8 +405,22 @@ SHORT = InvariantTuple(0, (1,))  # one entry, on curves of more branches
     lambda c: rr_basis(c, (SHORT, 0)),                     # zip truncated
     lambda c: rr_basis(c, (InvariantTuple(0, (0,) * c.r), 2)),  # an empty basis
     lambda c: Place.from_json({"kind": "branch", "i": -1, "j": 0}),  # to_json drops i
+    lambda c: make_curve(c.field, 4, [(0, 1), (3,)]),      # ValueError: unpacking
+    lambda c: make_curve(c.field, 4, [(0, 1), (3, 1, 5)]),  # ValueError: unpacking
+    lambda c: make_curve(c.field, 4, [5, (3, 1)]),         # TypeError: unpacking
+    lambda c: make_curve(c.field, 4, 5),                   # TypeError: not iterable
+    lambda c: make_curve(None, 4, 5),                      # TypeError: not iterable
+    lambda c: rr_basis(c, (A16,)),                         # ValueError: unpacking
+    lambda c: rr_basis(c, (A16, 0, 1)),                    # ValueError: unpacking
+    lambda c: rr_basis(c, 5),                              # TypeError: unpacking
+    lambda c: InvariantTuple(0, 5),                        # TypeError: not iterable
+    lambda c: InvariantTuple(0, None),                     # TypeError: not iterable
+    lambda c: principal_divisor(c, {False: 1}),            # read as the branch point 0
 ], ids=["bound_B j", "nth_roots n", "dickson d", "Poly float", "Poly range", "restrict",
-        "invariant_divisor", "rr_basis length", "rr_basis delta", "Place.from_json"])
+        "invariant_divisor", "rr_basis length", "rr_basis delta", "Place.from_json",
+        "branch short", "branch long", "branch int", "branches int", "lambdas int",
+        "rr_basis short pair", "rr_basis long pair", "rr_basis int", "n int", "n None",
+        "principal_divisor bool"])
 def test_malformed_inputs_found_by_the_properties(f169, call):
     # each was accepted, or raised something other than a KummerError
     with pytest.raises(KummerError):

@@ -803,6 +803,23 @@ def test_lcp_general_guards(f169, toy9):
         lcp_build_general(toy9, A, [0], completely_split_values(toy9), s=7)
 
 
+@pytest.mark.parametrize("name, A, phi", [("toy9", coeffs_all_ones(2, 5), [0]),
+                                          ("f49", *QUARTIC_PAIR)])
+def test_split_values_default_to_every_completely_split_value(request, name, A, phi):
+    curve = request.getfixturevalue(name)
+    values = completely_split_values(curve)
+    fibers, given = split_place_list(curve), split_place_list(curve, values)
+    assert fibers.places == given.places
+    for field in ("xs", "col", "y"):
+        assert np.array_equal(getattr(fibers, field), getattr(given, field))
+    pair, built = lcp_build_general(curve, A, phi), lcp_build_general(curve, A, phi, values)
+    assert pair.to_json() == built.to_json()
+    for code, same in ((pair.C, built.C), (pair.E, built.E)):
+        assert code.divisor_G == same.divisor_G
+        assert code.fibers.places == same.fibers.places
+        assert np.array_equal(code.gen(), same.gen())
+
+
 def test_lcp_general_inputs_are_integers(f169):
     # s = 2.5 once built a verified pair with k = 144 / 80 and reported
     # s = 2.5, and Phi = [0.2, 1, 2, 3.9] was read as {0, 1, 2, 3}

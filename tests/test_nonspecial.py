@@ -301,6 +301,18 @@ def test_criterion_permutation_symmetry(ex37_curve):
             assert criterion_check(ex37_curve, tup).passed == base
 
 
+def test_residue_table_built_once_per_curve_shape():
+    # a sweep cycles through more curve shapes than a bounded cache holds:
+    # with 256 tables kept, two passes over 300 shapes built 600
+    shapes = [make_curve(None, m, [1, lam]) for m in range(2, 26) for lam in range(1, m)]
+    assert len({(c.m, c.lambdas) for c in shapes}) == 300
+    nonspecial._residues.cache_clear()
+    for _ in range(2):
+        for c in shapes:
+            criterion_check(c, InvariantTuple(0, (0, 0)))
+    assert nonspecial._residues.cache_info().misses == 300
+
+
 # ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------

@@ -309,7 +309,6 @@ UNREACHED = {
     "curve.KummerCurve.from_json": "api: the curve reader of the CLI's --spec",
     "curve.Place.from_json": "api: the JSON reader of Place.to_json",
     "curve.Place.to_json": "api: the JSON form of a place",
-    "curve._items": "api: the list check of the from_json readers",
     "curve._keys": "api: the key check of the from_json readers",
     "curve.ell_invariant": "oracle: dim L(A) by restriction, against the criterion",
     "curve.ell_invariant_bulk": "oracle: dim L(A) over a box, against bulk_verdicts",

@@ -100,6 +100,12 @@ MUTANTS = [
            "min(ni * di, curve.m - 1)", "min(ni * di, curve.m)", CRITERION),
     Mutant("_reach: n_i = 0 reaches residue 1", "nonspecial.py",
            "min(ni * di, curve.m - 1)", "min(max(ni * di, 1), curve.m - 1)", CRITERION),
+    Mutant("_residues: a zero residue read as 0, not m", "nonspecial.py",
+           "table = (np.outer(lambdas, np.arange(1, m)) - 1) % m + 1",
+           "table = np.outer(lambdas, np.arange(1, m)) % m", CRITERION),
+    Mutant("split_fiber: a branch value let through", "curve.py",
+           'if info.kind != "split":', 'if info.kind == "inert-or-partial":',
+           ("tests/test_codes.py", "-k", "split_place_list")),
     Mutant("_restricted_summand: the floor r_i rounded up at a multiple of m", "curve.py",
            "r = [(ni * di + t * lam) // curve.m", "r = [(ni * di + t * lam + 1) // curve.m",
            ("tests/test_curve.py", "-k", "ell")),
